@@ -32,113 +32,155 @@ import numpy as np
 
 _HEADER = np.dtype("<u4")
 
-
-def _width_for(maxval: int) -> int:
-    if maxval < 1 << 8:
-        return 1
-    if maxval < 1 << 16:
-        return 2
-    if maxval < 1 << 32:
-        return 4
-    return 8
-
-
 _DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}
 
-
-def _vec_width(maxvals: np.ndarray) -> np.ndarray:
-    return np.select(
-        [maxvals < 1 << 8, maxvals < 1 << 16, maxvals < 1 << 32],
-        [1, 2, 4], default=8,
-    ).astype(np.int64)
+#: width table: a block maximum ``v`` takes
+#: ``_WIDTHS[searchsorted(_WIDTH_BOUNDS, v, "right")]`` bytes
+_WIDTH_BOUNDS = np.array([1 << 8, 1 << 16, 1 << 32], dtype=np.int64)
+_WIDTHS = np.array([1, 2, 4, 8], dtype=np.int64)
 
 
-def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = 128) -> bytes:
-    """Encode one posting list (sorted by doc_id ascending).
+def _scatter(out: np.ndarray, pos: np.ndarray, vals: np.ndarray,
+             dtype) -> None:
+    """Write ``vals`` as little-endian ``dtype`` at byte offsets ``pos``
+    of the u8 buffer ``out`` (one fancy-index store for all values)."""
+    if not len(pos):
+        return
+    raw = np.ascontiguousarray(vals).astype(dtype).view(np.uint8)
+    raw = raw.reshape(len(pos), -1)
+    if raw.shape[1] == 1:
+        out[pos] = raw[:, 0]
+    else:
+        out[pos[:, None] + np.arange(raw.shape[1])] = raw
 
-    Vectorized across blocks (the build-side hot loop: a head term at
-    10^8 postings is ~10^6 blocks): per-block maxima via ``reduceat``,
-    then per width class one u8 scatter writes every block's payload —
-    no per-block Python iteration.
+
+def _scatter_ragged(out: np.ndarray, base: np.ndarray, width: np.ndarray,
+                    n_b: np.ndarray, vals: np.ndarray) -> None:
+    """Write posting ``p`` of block ``b`` at ``base[b] + width[b] * p``
+    as a ``width[b]``-byte integer: one scatter per width class."""
+    p = np.arange(len(vals))
+    classes = np.unique(width)
+    if len(classes) == 1:                        # the common case
+        w = int(classes[0])
+        _scatter(out, np.repeat(base, n_b) + w * p, vals, _DTYPES[w])
+        return
+    w_p = np.repeat(width, n_b)
+    pos = np.repeat(base, n_b) + w_p * p
+    for w in classes:
+        sel = np.nonzero(w_p == w)[0]
+        _scatter(out, pos[sel], vals[sel], _DTYPES[int(w)])
+
+
+def encode_postings_batch(doc_ids: np.ndarray, tfs: np.ndarray,
+                          starts: np.ndarray, ends: np.ndarray,
+                          block_size: int = 128
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Encode many posting lists in one vectorized pass.
+
+    List ``i`` is ``doc_ids[starts[i]:ends[i]]`` (doc_id ascending) with
+    its tfs; the lists lie back to back (``starts[0] == 0``,
+    ``starts[i + 1] == ends[i]``, ``ends[-1] == len(doc_ids)``).
+    Returns ``(buf, offsets)``: a u8 buffer and int64 ``offsets`` of
+    length ``len(starts) + 1`` such that ``buf[offsets[i]:offsets[i + 1]]``
+    is list ``i`` in the layout above, byte-identical to
+    ``encode_postings`` on that list alone. A shard's vocabulary is mostly short lists (median df ~10,
+    one short block), so a per-list numpy call chain costs far more
+    than the postings themselves; here the whole shard runs as
+
+    1. one block table for all lists (owning list, rank in list,
+       posting range);
+    2. gaps, per-block ``max_gap``/``max_tf`` (``reduceat``), widths
+       and byte sizes (``cumsum``) over the whole shard;
+    3. headers, block metadata and ``first_doc`` as fixed-width
+       scatters, then the ragged gap/tf payloads with one scatter per
+       width class.
+
+    No Python loop runs per list or per block.
     """
-    n = len(doc_ids)
-    assert n == len(tfs)
-    B = block_size
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
     tfs = np.ascontiguousarray(tfs, dtype=np.int64)
-    n_blocks = (n + B - 1) // B if n else 0
-    head = np.array([n, B, n_blocks], dtype=_HEADER).tobytes()
-    if n == 0:
-        return head
+    first = np.asarray(starts, dtype=np.int64)
+    lens = np.asarray(ends, dtype=np.int64) - first
+    L, N, B = len(lens), len(doc_ids), block_size
+    # the lists lie back to back and cover both arrays
+    assert N == len(tfs) == int(lens.sum())
+    assert (first[1:] == first[:-1] + lens[:-1]).all() and (not L or first[0] == 0)
 
-    gaps = np.empty(n, dtype=np.int64)
-    gaps[0] = 0
-    np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
-    gaps[1:] -= 1
-    if n > 1 and gaps[1:].min() < 0:
-        raise ValueError("doc_ids must be strictly increasing")
-    if int(tfs.max()) >= 1 << 31:
-        # decode returns int32 tf arrays (a tf is bounded by document
-        # length); reject rather than silently wrap
-        raise ValueError("tf values must fit int32")
-    starts = np.arange(0, n, B, dtype=np.int64)
-    ends = np.minimum(starts + B, n)
-    n_b = ends - starts
-    gaps[starts] = 0                       # block-first gap isn't encoded
+    # 1. block table
+    nb = (lens + B - 1) // B                     # blocks per list
+    fb = np.zeros(L + 1, dtype=np.int64)         # first block of each list
+    np.cumsum(nb, out=fb[1:])
+    NB = int(fb[-1])
+    blist = np.repeat(np.arange(L), nb)          # owning list per block
+    j = np.arange(NB) - fb[blist]                # block rank in its list
+    bstart = first[blist] + j * B
+    n_b = np.minimum(first[blist] + lens[blist] - bstart, B)
 
-    max_gap = np.maximum.reduceat(gaps, starts)
-    max_tf_v = np.maximum.reduceat(tfs, starts)
-    wd = _vec_width(max_gap)
-    wt = _vec_width(max_tf_v)
-    block_bytes = 8 + wd * (n_b - 1) + wt * n_b
-    offsets = np.zeros(n_blocks, dtype=np.int64)
-    np.cumsum(block_bytes[:-1], out=offsets[1:])
-    if int(block_bytes.sum()) >= 1 << 32:
+    # 2. gaps, block maxima, widths, sizes
+    gaps = np.empty(N, dtype=np.int64)
+    if N:
+        gaps[0] = 0
+        np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
+        gaps[1:] -= 1
+        # only a list's first posting lacks a predecessor; a step at a
+        # block boundary is still checked
+        gaps[first[lens > 0]] = 0
+        if gaps.min() < 0:
+            raise ValueError("doc_ids must be strictly increasing")
+        if int(tfs.max()) >= 1 << 31:
+            # decode returns int32 tf arrays (a tf is bounded by document
+            # length); reject rather than silently wrap
+            raise ValueError("tf values must fit int32")
+    gaps[bstart] = 0                             # block-first gap isn't encoded
+    if NB:
+        max_gap = np.maximum.reduceat(gaps, bstart)
+        max_tf = np.maximum.reduceat(tfs, bstart)
+    else:
+        max_gap = max_tf = np.empty(0, dtype=np.int64)
+    wd = _WIDTHS[np.searchsorted(_WIDTH_BOUNDS, max_gap, side="right")]
+    wt = _WIDTHS[np.searchsorted(_WIDTH_BOUNDS, max_tf, side="right")]
+    cb = np.zeros(NB + 1, dtype=np.int64)        # block payload offsets
+    np.cumsum(8 + wd * (n_b - 1) + wt * n_b, out=cb[1:])
+    payload = cb[fb[1:]] - cb[fb[:-1]]           # payload bytes per list
+    if L and int(payload.max()) >= 1 << 32:
         # offsets serialize as u32; a payload past 4 GiB (~5e8 postings)
         # would silently truncate them — fail loudly instead. Lists that
         # big should be split across more term shards.
         raise ValueError("posting-list payload exceeds u32 offset range; "
                          "increase num_term_shards for this corpus")
-    out = np.empty(int(block_bytes.sum()), dtype=np.uint8)
+    offsets = np.zeros(L + 1, dtype=np.int64)
+    np.cumsum(12 + 17 * nb + payload, out=offsets[1:])
+    out = np.empty(int(offsets[-1]), dtype=np.uint8)
 
-    # first_doc of every block: one 8-byte scatter
-    out[offsets[:, None] + np.arange(8)] = (
-        doc_ids[starts].astype("<i8").view(np.uint8).reshape(-1, 8))
+    # 3. scatters: header, block metadata, first_doc, payloads
+    hdr = np.empty((L, 3), dtype=_HEADER)
+    hdr[:, 0], hdr[:, 1], hdr[:, 2] = lens, B, nb
+    _scatter(out, offsets[:-1], hdr, _HEADER)
+    meta = offsets[:-1][blist] + 12              # list metadata start
+    nbl = nb[blist]
+    rel = cb[:-1] - cb[fb[blist]]                # u32 offset field
+    _scatter(out, meta + 8 * j, doc_ids[bstart + n_b - 1], "<i8")
+    _scatter(out, meta + 8 * nbl + 4 * j, max_tf, "<i4")
+    _scatter(out, meta + 12 * nbl + 4 * j, rel, "<u4")
+    _scatter(out, meta + 16 * nbl + j, wd | (wt << 4), "<u1")
+    pay = meta + 17 * nbl + rel                  # block payload start
+    # gap of block rank k >= 1 at pay + 8 + wd*(k-1): the rank-0 gap
+    # (zeroed above) lands in the block's first_doc slot, which the
+    # first_doc scatter then overwrites — no mask over the postings
+    _scatter_ragged(out, pay + 8 - wd * (bstart + 1), wd, n_b, gaps)
+    # tf of rank k after the block's gaps
+    _scatter_ragged(out, pay + 8 + wd * (n_b - 1) - wt * bstart, wt, n_b, tfs)
+    _scatter(out, pay, doc_ids[bstart], "<i8")
+    return out, offsets
 
-    full = n_b == B
-    for w in np.unique(wd):
-        # full blocks of this gap width: gather rows, view bytes, scatter
-        blk = np.nonzero(full & (wd == w))[0]
-        if len(blk):
-            rows = starts[blk][:, None] + np.arange(1, B)
-            data = gaps[rows].astype(_DTYPES[int(w)]).view(np.uint8)
-            out[offsets[blk][:, None] + 8 + np.arange(w * (B - 1))] = (
-                data.reshape(len(blk), -1))
-    for w in np.unique(wt):
-        blk = np.nonzero(full & (wt == w))[0]
-        if len(blk):
-            rows = starts[blk][:, None] + np.arange(B)
-            data = tfs[rows].astype(_DTYPES[int(w)]).view(np.uint8)
-            base = offsets[blk] + 8 + wd[blk] * (B - 1)
-            out[base[:, None] + np.arange(w * B)] = data.reshape(len(blk), -1)
-    if not full[-1]:                       # the single short tail block
-        bi = n_blocks - 1
-        lo, hi = int(starts[bi]), int(ends[bi])
-        o = int(offsets[bi]) + 8
-        g = gaps[lo + 1 : hi].astype(_DTYPES[int(wd[bi])]).view(np.uint8)
-        out[o : o + len(g)] = g
-        o += int(wd[bi]) * (hi - lo - 1)
-        t = tfs[lo:hi].astype(_DTYPES[int(wt[bi])]).view(np.uint8)
-        out[o : o + len(t)] = t
 
-    return (
-        head
-        + doc_ids[ends - 1].astype("<i8").tobytes()   # last_doc per block
-        + max_tf_v.astype("<i4").tobytes()
-        + offsets.astype("<u4").tobytes()
-        + (wd | (wt << 4)).astype("<u1").tobytes()
-        + out.tobytes()
-    )
+def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray, block_size: int = 128) -> bytes:
+    """Encode one posting list (sorted by doc_id ascending): the
+    one-list case of ``encode_postings_batch``."""
+    n = len(doc_ids)
+    buf, _ = encode_postings_batch(doc_ids, tfs, np.zeros(1, dtype=np.int64),
+                                   np.full(1, n, dtype=np.int64), block_size)
+    return buf.tobytes()
 
 
 class PostingList:

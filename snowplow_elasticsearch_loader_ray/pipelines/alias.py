@@ -161,11 +161,15 @@ def search_alias(root: str, name: str, reader, body: dict,
         if set(q) == {"match_all"}:
             # no-query (or explicit match_all) through a filtered
             # alias: ES scores every filter-passing doc 1.0 — exactly
-            # the constant_score query
+            # the constant_score query. Same body check as the DSL's
+            # own match_all.
+            ma = q["match_all"]
+            if not isinstance(ma, dict) or set(ma) - {"boost"}:
+                raise DSL.UnsupportedDSL(f"unsupported match_all body {ma!r}")
             node = {"constant_score": {"filter": flt,
-                                       **({"boost": q["match_all"]["boost"]}
-                                          if q["match_all"].get("boost")
-                                          is not None else {})}}
+                                       **({"boost": ma["boost"]}
+                                          if ma.get("boost") is not None
+                                          else {})}}
         elif set(q) == {"bool"}:
             node = {"bool": dict(q["bool"])}
             cur = node["bool"].get("filter", [])

@@ -425,10 +425,11 @@ def _encode_shard_group(index_dir: str, shards: list[int],
     file, footer/row-group-stat pruning, and the boundary row groups a
     single-shard filter decompresses twice (a 16k-row group straddling
     two shards is read by both their tasks; a range filter reads it
-    once). At small corpora this setup dominates a ~5 s encode, which
-    is what flattened the phase at low parallelism; at 10^12 docs each
-    shard is huge and ``build_segments`` sizes groups back down to 1
-    via the run-manifest postings estimate. Idempotent per shard
+    once). The encode itself is one batched pass per shard
+    (``codec.encode_postings_batch``: a few ms for a 25k-posting
+    shard), so at small corpora this setup is most of the task; at
+    10^12 docs each shard is huge and ``build_segments`` sizes groups
+    back down to 1 via the run-manifest postings estimate. Idempotent per shard
     (tmp+rename writes, manifests committed by the caller), so a retry
     mid-group re-writes at most already-written files."""
     import pyarrow.dataset as pads

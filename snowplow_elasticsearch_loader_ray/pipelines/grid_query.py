@@ -46,6 +46,7 @@ from .servecache import (
     dense_combine,
     fused_combine_rank,
     env_cap,
+    reader_cpus,
 )
 from .query import tokenize_query
 
@@ -193,8 +194,8 @@ class GridQueryEngine:
         self.n_doc_parts = n_doc_parts
         n_cells = self.num_shards * n_doc_parts
         if cpus_per_reader is None:
-            avail = max(1.0, ray.cluster_resources().get("CPU", 1.0))
-            cpus_per_reader = min(1.0, max(0.05, (avail * 0.8) / n_cells))
+            cpus_per_reader = reader_cpus(
+                n_cells, ray.cluster_resources().get("CPU", 1.0))
         self.cells = {
             (s, p): GridCellReader.options(num_cpus=cpus_per_reader).remote(
                 index_dir, s, p, n_doc_parts)

@@ -36,24 +36,24 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from ..codec import PostingList, encode_postings
+from ..codec import PostingList
 from ..config import IndexConfig, DEFAULT_CONFIG
-from ..stages.segment import SEGMENT_SCHEMA
+from ..stages.segment import SEGMENT_SCHEMA, segment_table
 from ..state import manifest as mf
 from .build import (DOCMAP_SCHEMA, finalize, index_stats, load_docmap,
                     load_docvalues)
 
 
-def _merge_lists(entries: list[tuple[int, bytes]], remaps: list[np.ndarray],
-                 block_size: int) -> tuple[bytes, int, int] | None:
+def _merge_lists(entries: list[tuple[int, bytes]], remaps: list[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Merge posting-list buffers tagged with their input index.
 
-    → (encoded buffer, df, cf), or None if every posting was deleted.
-    Upsert semantics (the document-replacement contract): ``remaps[i]``
-    maps input ``i``'s ordinals to merged ordinals, with -1 for docs
-    superseded by a NEWER input — dropping those removes stale terms
-    that the new version of the document no longer contains (a plain
-    last-wins dedupe would leak them).
+    → (docs, tfs) in merged-ordinal order, or None if every posting was
+    deleted. Upsert semantics (the document-replacement contract):
+    ``remaps[i]`` maps input ``i``'s ordinals to merged ordinals, with
+    -1 for docs superseded by a NEWER input — dropping those removes
+    stale terms that the new version of the document no longer
+    contains (a plain last-wins dedupe would leak them).
     """
     docs_parts: list[np.ndarray] = []
     tfs_parts: list[np.ndarray] = []
@@ -66,18 +66,12 @@ def _merge_lists(entries: list[tuple[int, bytes]], remaps: list[np.ndarray],
             tfs_parts.append(t[live])
     if not docs_parts:
         return None
-    if len(docs_parts) == 1:
-        docs, tfs = docs_parts[0], tfs_parts[0]
-        order = np.argsort(docs, kind="stable")
-        docs, tfs = docs[order], tfs[order]
-    else:
-        docs = np.concatenate(docs_parts)
-        tfs = np.concatenate(tfs_parts)
-        order = np.argsort(docs, kind="stable")
-        docs, tfs = docs[order], tfs[order]
+    docs = np.concatenate(docs_parts)
+    tfs = np.concatenate(tfs_parts)
+    order = np.argsort(docs, kind="stable")
     # survivors are disjoint across inputs post-remap (each merged
     # ordinal belongs to exactly one input generation)
-    return encode_postings(docs, tfs, block_size=block_size), len(docs), int(tfs.sum())
+    return docs[order], tfs[order]
 
 
 @ray.remote(num_cpus=1)
@@ -104,24 +98,23 @@ def _merge_shard(input_dirs: list[str], out_dir: str, shard: int,
             by_term.setdefault(term, []).append((i, buf))
 
     out_terms: list[str] = []
-    out_post: list[bytes] = []
-    out_df: list[int] = []
-    out_cf: list[int] = []
+    docs_parts: list[np.ndarray] = []
+    tfs_parts: list[np.ndarray] = []
     for term in sorted(by_term):
-        merged = _merge_lists(by_term[term], remaps, block_size)
+        merged = _merge_lists(by_term[term], remaps)
         if merged is None:
             continue                           # all postings superseded
-        buf, df, cf = merged
         out_terms.append(term)
-        out_post.append(buf)
-        out_df.append(df)
-        out_cf.append(cf)
-    seg = pa.table({
-        "term": pa.array(out_terms, type=pa.string()),
-        "df": pa.array(out_df, type=pa.int64()),
-        "cf": pa.array(out_cf, type=pa.int64()),
-        "postings": pa.array(out_post, type=pa.binary()),
-    }, schema=SEGMENT_SCHEMA) if out_terms else SEGMENT_SCHEMA.empty_table()
+        docs_parts.append(merged[0])
+        tfs_parts.append(merged[1])
+    if out_terms:
+        ends = np.cumsum([len(d) for d in docs_parts])
+        starts = np.concatenate(([0], ends[:-1]))
+        seg = segment_table(out_terms, np.concatenate(docs_parts),
+                            np.concatenate(tfs_parts), starts, ends,
+                            block_size)
+    else:
+        seg = SEGMENT_SCHEMA.empty_table()
 
     out = os.path.join(seg_dir, name)
     tmp = out + ".tmp"

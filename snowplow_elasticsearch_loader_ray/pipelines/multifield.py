@@ -266,17 +266,17 @@ class MultiFieldShardedEngine:
     def __init__(self, root: str, fields: list[str]):
         import ray
 
+        from .servecache import reader_cpus
         from .sharded_query import ShardedQueryEngine
 
-        avail = max(1.0, ray.cluster_resources().get("CPU", 1.0))
+        avail = ray.cluster_resources().get("CPU", 1.0)
         self.engines: dict[str, ShardedQueryEngine] = {}
         for f in fields:
             d = os.path.join(root, f)
             from .build import index_stats
 
             shards = int(index_stats(d)["num_term_shards"])
-            cpus = min(1.0, max(0.05,
-                                (avail * 0.8) / (len(fields) * shards)))
+            cpus = reader_cpus(len(fields) * shards, avail)
             self.engines[f] = ShardedQueryEngine(d, cpus_per_reader=cpus)
 
     def multi_match(self, query: str, fields: list[str],

@@ -47,6 +47,7 @@ from ..config import IndexConfig, DEFAULT_CONFIG
 from ..state import manifest as mf
 from ..tokenizer import term_shard_one, tokenize_to_terms
 from .build import _input_files
+from .servecache import reader_cpus
 
 POSITIONS_SCHEMA = pa.schema([
     ("term", pa.string()),
@@ -355,8 +356,8 @@ class ShardedPositionalEngine:
             columns=["doc_id"])
         self.doc_ids = dm["doc_id"].to_numpy()
         if cpus_per_reader is None:
-            avail = max(1.0, ray.cluster_resources().get("CPU", 1.0))
-            cpus_per_reader = min(1.0, max(0.1, (avail * 0.8) / self.num_shards))
+            cpus_per_reader = reader_cpus(
+                self.num_shards, ray.cluster_resources().get("CPU", 1.0))
         self.readers = [
             PosShardReader.options(num_cpus=cpus_per_reader).remote(pos_dir, s)
             for s in range(self.num_shards)

@@ -52,6 +52,15 @@ def env_cap(var: str, default: int) -> int:
     return int(os.environ.get(var, default))
 
 
+def reader_cpus(n_readers: int, cluster_cpus: float) -> float:
+    """CPU reservation of one serving actor in a pool of ``n_readers``:
+    80% of the cluster's CPUs shared out, at most one each. A reader
+    mostly waits between queries, so a small share is fine; a floor
+    above ``0.8 × CPUs / readers`` is not — the actors past the
+    cluster's CPUs would never schedule and their queries would hang."""
+    return min(1.0, 0.8 * max(1.0, cluster_cpus) / max(1, n_readers))
+
+
 def dense_combine_into(acc, terms, slices_by_term):
     """Core of ``dense_combine`` over a caller-supplied zeroed buffer —
     the per-query work is pure GIL-releasing numpy, so ``msearch`` runs

@@ -46,6 +46,7 @@ from .servecache import (
     dense_combine,
     fused_combine_rank,
     env_cap,
+    reader_cpus,
 )
 
 
@@ -236,8 +237,8 @@ class ShardedQueryEngine:
             # fit the pool into the current cluster (a reader is mostly
             # waiting between queries; on a real cluster size this to
             # cores/shards-per-node)
-            avail = max(1.0, ray.cluster_resources().get("CPU", 1.0))
-            cpus_per_reader = min(1.0, max(0.1, (avail * 0.8) / self.num_shards))
+            cpus_per_reader = reader_cpus(
+                self.num_shards, ray.cluster_resources().get("CPU", 1.0))
         self.readers = [
             ShardReader.options(num_cpus=cpus_per_reader).remote(
                 index_dir, s, self.num_shards)

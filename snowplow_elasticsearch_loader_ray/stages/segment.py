@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..codec import encode_postings
+from ..codec import encode_postings_batch
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -77,17 +77,44 @@ def encode_shard_table(runs: pa.Table, block_size: int = 128) -> pa.Table:
     ends = np.concatenate((change, [len(keys)]))
     sorted_vocab = vocab[vocab_order]
 
-    out_df = ends - starts
-    out_cf = np.add.reduceat(tfs.astype(np.int64), starts)
-    out_post: list[bytes] = [
-        encode_postings(doc_ids[lo:hi], tfs[lo:hi], block_size=block_size)
-        for lo, hi in zip(starts, ends)
-    ]
-    return pa.table(
-        {
-            "term": pa.array(sorted_vocab[keys[starts]], type=pa.string()),
-            "df": pa.array(out_df, type=pa.int64()),
-            "cf": pa.array(out_cf),
-            "postings": pa.array(out_post, type=pa.binary()),
-        }
-    )
+    return segment_table(sorted_vocab[keys[starts]], doc_ids, tfs, starts,
+                         ends, block_size)
+
+
+def segment_table(terms, doc_ids: np.ndarray, tfs: np.ndarray,
+                  starts: np.ndarray, ends: np.ndarray,
+                  block_size: int) -> pa.Table:
+    """Segment rows over back-to-back posting lists: ``terms[i]`` owns
+    ``doc_ids[starts[i]:ends[i]]`` and its tfs. The whole shard encodes
+    in one batched pass (``codec.encode_postings_batch``)."""
+    tfs = np.asarray(tfs, dtype=np.int64)
+    return pa.table({
+        "term": pa.array(terms, type=pa.string()),
+        "df": pa.array(ends - starts, type=pa.int64()),
+        "cf": pa.array(np.add.reduceat(tfs, starts), type=pa.int64()),
+        "postings": _postings_column(
+            *encode_postings_batch(doc_ids, tfs, starts, ends, block_size)),
+    }, schema=SEGMENT_SCHEMA)
+
+
+def _postings_column(buf: np.ndarray, offsets: np.ndarray) -> pa.ChunkedArray:
+    """The ``postings`` column over one batched-encode output, zero-copy:
+    ``buf`` becomes the Arrow data buffer and ``offsets`` its value
+    offsets. ``pa.binary()`` offsets are int32, so a shard past 2 GiB
+    of postings splits into several chunks."""
+    chunks = []
+    lo = 0
+    while lo < len(offsets) - 1:
+        hi = int(np.searchsorted(offsets, offsets[lo] + (1 << 31) - 1,
+                                 side="right")) - 1
+        hi = max(hi, lo + 1)
+        base = int(offsets[lo])
+        if int(offsets[hi]) - base >= 1 << 31:
+            raise ValueError("one posting list exceeds 2 GiB; increase "
+                             "num_term_shards for this corpus")
+        offs = (offsets[lo:hi + 1] - base).astype(np.int32)
+        chunks.append(pa.Array.from_buffers(
+            pa.binary(), hi - lo,
+            [None, pa.py_buffer(offs), pa.py_buffer(buf[base:int(offsets[hi])])]))
+        lo = hi
+    return pa.chunked_array(chunks, type=pa.binary())

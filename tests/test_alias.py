@@ -202,6 +202,23 @@ def test_filtered_alias_merges_filter(ray_session, tmp_path):
         set_alias(root, "bad", idx, filter="lang:en")
 
 
+def test_filtered_alias_rejects_bad_match_all_body(tmp_path):
+    """A match_all body through a filtered alias gets the DSL's own
+    check: a dict with at most a ``boost`` key, else UnsupportedDSL
+    (a null body used to raise AttributeError, unknown keys were
+    silently dropped). The check runs before any index read."""
+    from snowplow_elasticsearch_loader_ray.pipelines.query_dsl import (
+        UnsupportedDSL)
+
+    root = str(tmp_path / "reg")
+    AL.set_alias(root, "en-only", _fake_index(tmp_path, "idx"),
+                 filter={"term": {"lang": "en"}})
+    for body in (None, [], {"boost": 2.0, "_name": "x"}):
+        with pytest.raises(UnsupportedDSL):
+            AL.search_alias(root, "en-only", None,
+                            {"query": {"match_all": body}})
+
+
 def test_rollover_writer_resumes_counter_over_existing_root(
         ray_session, tmp_path):
     """A new RolloverWriter over a root with prior generations

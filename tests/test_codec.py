@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snowplow_elasticsearch_loader_ray.codec import (
-    PostingList, decode_postings, encode_postings,
+    PostingList, decode_postings, encode_postings, encode_postings_batch,
 )
 
 
@@ -75,6 +75,53 @@ def test_non_increasing_docs_rejected():
         encode_postings(np.array([5, 5]), np.array([1, 1]))
     with pytest.raises(ValueError):
         encode_postings(np.array([9, 5]), np.array([1, 1]))
+
+
+def test_golden_bytes_two_block_multi_width():
+    """Freeze the on-disk format: block 0 carries 4-byte gaps and
+    2-byte tfs, the short block 1 8-byte gaps and 4-byte tfs."""
+    docs = np.array([7, 8, 300, 1_000_000, 1_000_001, 5_000_000_000])
+    tfs = np.array([1, 2, 300, 1, 70000, 3])
+    assert encode_postings(docs, tfs, block_size=4).hex() == (
+        "060000000400000002000000"                  # n, B, n_blocks
+        "40420f0000000000" "00f2052a01000000"       # last_doc
+        "2c010000" "70110100"                       # max_tf
+        "00000000" "1c000000"                       # payload offsets
+        "24" "48"                                   # widths (tf<<4 | gap)
+        "0700000000000000" "00000000" "23010000" "13410f00"
+        "0100" "0200" "2c01" "0100"                 # block 0
+        "41420f0000000000" "beaff62901000000"
+        "70110100" "03000000"                       # block 1
+    )
+
+
+def test_batch_checks_stay_per_list():
+    one = np.ones(8, dtype=np.int64)
+    # a non-increasing step on a block boundary (index 4, B=4) is
+    # rejected like any other step inside a list
+    with pytest.raises(ValueError, match="strictly increasing"):
+        encode_postings(np.array([1, 2, 3, 9, 9, 10, 11, 12]), one,
+                        block_size=4)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        encode_postings_batch(np.array([1, 2, 3, 9, 5, 10]), one[:6],
+                              np.array([0]), np.array([6]), block_size=4)
+    # a decrease at a LIST boundary is two lists, not an error
+    docs = np.array([1, 2, 3, 9, 5, 10, 11, 12])
+    buf, offs = encode_postings_batch(docs, one, np.array([0, 4]),
+                                      np.array([4, 8]), block_size=4)
+    for i, (lo, hi) in enumerate([(0, 4), (4, 8)]):
+        d, _ = decode_postings(buf[offs[i]:offs[i + 1]].tobytes())
+        np.testing.assert_array_equal(d, docs[lo:hi])
+    # a tf too large for int32 in any list rejects the batch
+    with pytest.raises(ValueError, match="int32"):
+        encode_postings_batch(docs, np.array([1] * 7 + [1 << 31]),
+                              np.array([0, 4]), np.array([4, 8]))
+    # empty lists keep the 12-byte header, wherever they sit
+    buf, offs = encode_postings_batch(docs[:4], one[:4], np.array([0, 0, 4]),
+                                      np.array([0, 4, 4]), block_size=4)
+    assert np.diff(offs)[[0, 2]].tolist() == [12, 12]
+    assert buf[offs[2]:].tobytes() == encode_postings(docs[:0], one[:0],
+                                                      block_size=4)
 
 
 def test_binary_views_zero_copy_roundtrip():

@@ -4,7 +4,9 @@ sorted posting lists, block skipping consistency, width edge cases."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from snowplow_elasticsearch_loader_ray.codec import PostingList, encode_postings
+from snowplow_elasticsearch_loader_ray.codec import (
+    PostingList, encode_postings, encode_postings_batch,
+)
 
 gaps_strategy = st.lists(
     st.integers(min_value=1, max_value=1 << 40), min_size=1, max_size=700)
@@ -21,6 +23,7 @@ def test_roundtrip_arbitrary_lists(gaps, data, block_size, start):
         data.draw(st.lists(tfs_value, min_size=len(gaps), max_size=len(gaps))),
         dtype=np.int64)
     buf = encode_postings(docs, tfs, block_size=block_size)
+    assert buf == _reference_encode(docs, tfs, block_size)
     pl = PostingList(buf)
     d, t = pl.decode_all()
     np.testing.assert_array_equal(d, docs)
@@ -53,3 +56,61 @@ def test_tf_overflow_rejected():
     with pytest.raises(ValueError, match="int32"):
         encode_postings(np.array([1], dtype=np.int64),
                         np.array([1 << 31], dtype=np.int64))
+
+
+def _reference_encode(docs, tfs, block_size):
+    """The layout in codec.py's docstring, one block at a time."""
+    def width(v):
+        return next(w for w in (1, 2, 4, 8) if v < 1 << (8 * w))
+
+    last, max_tf, offsets, widths, payload = [], [], [], [], b""
+    for lo in range(0, len(docs), block_size):
+        d, t = docs[lo:lo + block_size], tfs[lo:lo + block_size]
+        gaps = np.diff(d) - 1
+        wd, wt = width(int(gaps.max(initial=0))), width(int(t.max()))
+        last.append(d[-1])
+        max_tf.append(t.max())
+        offsets.append(len(payload))
+        widths.append(wd | wt << 4)
+        payload += (np.int64(d[0]).tobytes() + gaps.astype(f"<u{wd}").tobytes()
+                    + t.astype(f"<u{wt}").tobytes())
+    return (np.array([len(docs), block_size, len(last)], "<u4").tobytes()
+            + np.array(last, "<i8").tobytes() + np.array(max_tf, "<i4").tobytes()
+            + np.array(offsets, "<u4").tobytes() + bytes(widths) + payload)
+
+
+# one list for the batched encoder: gaps up to 2^33 and tfs up to 2^17
+# span every byte width; up to 40 postings with block size 8 gives full
+# blocks and a short tail; an empty list is always in the batch
+batch_list = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=1 << 33),
+              st.integers(min_value=1, max_value=1 << 17)),
+    min_size=0, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lists=st.lists(batch_list, min_size=1, max_size=12),
+       empty_at=st.integers(min_value=0, max_value=12),
+       block_size=st.sampled_from([1, 3, 8]))
+def test_batch_encode_many_lists_roundtrip(lists, empty_at, block_size):
+    lists = lists[:empty_at] + [[]] + lists[empty_at:]
+    docs = [np.cumsum([g for g, _ in li]).astype(np.int64) for li in lists]
+    tfs = [np.array([t for _, t in li], dtype=np.int64) for li in lists]
+    lens = np.array([len(d) for d in docs], dtype=np.int64)
+    ends = np.cumsum(lens)
+    buf, offs = encode_postings_batch(
+        np.concatenate(docs), np.concatenate(tfs), ends - lens, ends,
+        block_size=block_size)
+    assert len(offs) == len(lists) + 1 and offs[-1] == len(buf)
+    for i, (d, t) in enumerate(zip(docs, tfs)):
+        one = buf[offs[i]:offs[i + 1]].tobytes()
+        assert one == _reference_encode(d, t, block_size)
+        pl = PostingList(one)
+        if not len(d):
+            assert len(one) == 12 and pl.n == 0
+        got_d, got_t = pl.decode_all()
+        np.testing.assert_array_equal(got_d, d)
+        np.testing.assert_array_equal(got_t, t)
+        got_d, got_t = pl.decode_blocks(np.arange(pl.n_blocks)[::-1])
+        np.testing.assert_array_equal(got_d, d)
+        np.testing.assert_array_equal(got_t, t)

@@ -187,3 +187,20 @@ def test_msearch_threaded_combine_bit_identical(ray_session, tmp_path):
                     np.testing.assert_array_equal(s1, s2, err_msg=q)
         finally:
             eng.shutdown()
+
+
+def test_reader_cpus_fit_every_reader_in_the_cluster():
+    """Reader pools size so that ALL their actors schedule: with the
+    old 0.1-CPU floor, 16 shard readers on a 1-CPU session reserved
+    1.6 CPUs and six of them never started (their queries hung)."""
+    from snowplow_elasticsearch_loader_ray.pipelines.servecache import (
+        reader_cpus)
+
+    assert reader_cpus(8, 1.0) == pytest.approx(0.1)   # 8 shards, 1 CPU
+    assert reader_cpus(16, 1.0) == pytest.approx(0.05)
+    assert reader_cpus(2, 32.0) == 1.0                 # at most one CPU
+    for cpus in (1.0, 2.0, 4.0, 32.0):
+        for n in (1, 3, 8, 16, 32, 64, 500):
+            share = reader_cpus(n, cpus)
+            assert 0 < share <= 1.0
+            assert n * share <= 0.8 * cpus + 1e-9
