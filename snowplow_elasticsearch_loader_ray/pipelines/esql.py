@@ -1650,11 +1650,13 @@ def execute(sf_dir: str, query: str) -> pa.Table:
                                 b[terms[0]], 0, params))
                     elif fname == "RIGHT":
                         # negative start slices from the end; a string
-                        # shorter than n comes back whole (DuckDB right)
+                        # shorter than n comes back whole (DuckDB right);
+                        # n = 0 is the empty slice, so NULL stays NULL
                         b = b.append_column(
                             name, pc.utf8_slice_codeunits(
                                 b[terms[0]], -params, None)
-                            if params else pa.array([""] * b.num_rows))
+                            if params else pc.utf8_slice_codeunits(
+                                b[terms[0]], 0, 0))
                     elif fname == "REPLACE":
                         pat, rep = params
                         b = b.append_column(
@@ -1825,10 +1827,13 @@ def execute(sf_dir: str, query: str) -> pa.Table:
         n = plan["limit"]
 
         def local_topn(b: pa.Table) -> pa.Table:
-            df = b.select(need_cols).to_pandas()
-            df = df.sort_values(skeys, ascending=asc,
-                                kind="mergesort").head(n)
-            return pa.Table.from_pandas(df, preserve_index=False)
+            b = b.select(need_cols)
+            df = b.to_pandas().sort_values(skeys, ascending=asc,
+                                           kind="mergesort").head(n)
+            # the batch's schema, not pandas inference: an all-null
+            # string column must not come back null-typed
+            return pa.Table.from_pandas(df, schema=b.schema,
+                                        preserve_index=False)
 
         cand = ds.map_batches(local_topn, batch_format="pyarrow")
         parts = [t for t in cand.iter_batches(batch_format="pyarrow",

@@ -29,11 +29,13 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
 from .. import bm25
 from ..config import DEFAULT_CONFIG, IndexConfig
+from ..tokenizer import tokenize_to_terms
 from .build import build_index
 from .query import IndexReader, _taat_scores
 
@@ -53,12 +55,18 @@ def _derive_batch(batch, column: str, first_tokens: int | None):
     token stream — pure Arrow kernels, zero Python per row."""
     texts = batch[column]
     if first_tokens is not None:
-        # normalize separators THEN split on single spaces: same token
-        # sequence as the index tokenizer ([a-z0-9]+ runs), no empties
-        norm = pc.utf8_trim_whitespace(pc.replace_substring_regex(
-            pc.utf8_lower(texts), "[^a-z0-9]+", " "))
-        texts = pc.binary_join(
-            pc.list_slice(pc.split_pattern(norm, " "), 0, first_tokens), " ")
+        # the index tokenizer's own token stream, regrouped per row
+        # (null rows stay null, token-less rows become "")
+        flat, idx = tokenize_to_terms(texts)
+        if isinstance(flat, pa.ChunkedArray):
+            flat, idx = flat.combine_chunks(), idx.combine_chunks()
+        counts = np.bincount(idx.to_numpy(zero_copy_only=False),
+                             minlength=len(texts))
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        toks = pa.ListArray.from_arrays(
+            pa.array(offsets), flat,
+            mask=pa.array(pc.is_null(texts).to_numpy(zero_copy_only=False)))
+        texts = pc.binary_join(pc.list_slice(toks, 0, first_tokens), " ")
     return batch.select(["doc_id"]).append_column("text", texts)
 
 

@@ -132,7 +132,13 @@ def stream_ingest(payloads: Iterable, out_dir: str,
         stored = mf.load(man_dir, "position")["min_ts"]
         min_ts = -float("inf") if stored is None else float(stored)
     else:
-        if initial_position == "LATEST":
+        if k0 > 0:
+            # checkpoints without a position manifest: a dir written
+            # before the manifest existed. It has subscribed already, so
+            # it resumes from its checkpoint alone (resume-only)
+            # instead of re-resolving the position to a new "now"
+            min_ts = -float("inf")
+        elif initial_position == "LATEST":
             min_ts = clock()
         elif (isinstance(initial_position, tuple)
               and initial_position[0] == "AT_TIMESTAMP"):

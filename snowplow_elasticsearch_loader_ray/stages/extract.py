@@ -12,9 +12,11 @@ so one streaming pass feeds both sinks; the ingest pipeline writes it
 ``partition_cols=["status"]`` which lands good docs and dead letters in
 separate directories without a second pass over the corpus.
 
-Extraction is vectorized: tag-block stripping and content capture run
-as pyarrow re2 kernels over the whole column; the only per-row Python
-work is UTF-8 validation (C-speed ``bytes.decode``) and doc_id hashing.
+Extraction is vectorized over the whole column: tag-block stripping runs
+as pyarrow re2 kernels, and content capture ("the first ``<p>``, then
+the first ``</p>`` after it") as two literal ``split_pattern`` kernels
+with ``max_splits=1`` — no regex engine. The only per-row Python work
+is UTF-8 validation (C-speed ``bytes.decode``) and doc_id hashing.
 
 Byte-identity invariant: for every good row, ``extract(html) == text``
 byte-for-byte (the analogue of the reference's lossy-JSON golden
@@ -35,7 +37,6 @@ from ..sources.synth import hash_url64
 #: boilerplate blocks dropped before content capture (re2 has no
 #: backreferences, so one pattern per tag)
 _STRIP_TAGS = ("script", "style", "nav", "footer")
-_CONTENT_PATTERN = r"<p>(?P<text>[\s\S]*?)</p>"
 
 GOOD = "good"
 E_EXTRACT = "extract_error"
@@ -58,6 +59,26 @@ OUT_SCHEMA = pa.schema(
         ("payload_b64", pa.string()),
     ]
 )
+
+
+def _split_once(strings: pa.Array, sep: str, keep: int) -> pa.Array:
+    """Part ``keep`` (0 = before, 1 = after) of each string split at the
+    first ``sep``; null where ``sep`` does not occur (or the input is
+    null)."""
+    parts = pc.split_pattern(strings, pattern=sep, max_splits=1)
+    lens = pc.fill_null(pc.list_value_length(parts), 0).to_numpy(
+        zero_copy_only=False)
+    starts = np.cumsum(lens) - lens
+    pick = pa.array(starts + keep, mask=lens != 2)
+    return pc.take(pc.list_flatten(parts), pick)
+
+
+def capture_content(html: pa.Array) -> pa.Array:
+    r"""Text between the first ``<p>`` and the first ``</p>`` after it;
+    null where there is no such pair. Same output as
+    ``extract_regex(r"<p>(?P<text>[\s\S]*?)</p>")``: the leftmost
+    ``<p>`` has a ``</p>`` after it whenever any ``<p>`` does."""
+    return _split_once(_split_once(html, "<p>", 1), "</p>", 0)
 
 
 class ExtractTransform:
@@ -90,9 +111,7 @@ class ExtractTransform:
             html_str = pc.replace_substring_regex(
                 html_str, pattern=rf"<{tag}[\s\S]*?</{tag}>", replacement=""
             )
-        content = pc.struct_field(
-            pc.extract_regex(html_str, pattern=_CONTENT_PATTERN), "text"
-        )
+        content = capture_content(html_str)
         content = pc.replace_substring(content, pattern="&lt;", replacement="<")
         content = pc.replace_substring(content, pattern="&gt;", replacement=">")
         content = pc.replace_substring(content, pattern="&amp;", replacement="&")

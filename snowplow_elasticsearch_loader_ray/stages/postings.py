@@ -22,11 +22,13 @@ search per posting at query time).
 
 Hot-path design (this stage dominates build CPU — see BASELINE.md):
 after tokenization the chunk works entirely on integers — terms are
-dictionary-encoded once, tf counting is one ``np.unique`` over
-``row*V + term_index`` composite keys, the output ordering is one
-integer ``np.lexsort``, and the term column is emitted as a
-``DictionaryArray`` (indices over the chunk vocabulary), so no
-per-posting string is ever materialized, hashed, sorted or copied.
+dictionary-encoded once, the vocabulary is ranked by (shard, first
+occurrence), and one ``np.unique`` over ``rank*n_docs + row`` composite
+keys both counts tf and emits the postings in output order (ordinals
+increase with the row, so row order is ord order). The term column is
+emitted as a ``DictionaryArray`` (indices over the chunk vocabulary),
+so no per-posting string is ever materialized, hashed, sorted or
+copied.
 
 The chunk output is sorted by (shard, term, ord) — docmap rows
 (shard = -1) lead — which keeps the run files shard-clustered per row
@@ -63,8 +65,14 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
     ``langs`` (optional) is the per-doc ``lang`` doc-value: it rides the
     docmap rows into ``docmap/part-K.parquet`` so facet queries gather
     metadata by ordinal instead of re-reading the corpus (the ES
-    doc_values design)."""
+    doc_values design).
+
+    ``ords`` must increase with the row: the (term, ord) order of the
+    postings then falls out of the (term, row) order of one
+    ``np.unique``."""
     n_docs = len(doc_ids)
+    if not np.all(np.diff(ords) > 0):
+        raise ValueError("postings_chunk: ords must be strictly increasing")
     flat, idx = tokenize_to_terms(texts)
     idx_np = idx.to_numpy(zero_copy_only=False)
     doclen = np.bincount(idx_np, minlength=n_docs).astype(np.int32)
@@ -74,53 +82,49 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
     enc = flat.dictionary_encode()
     vocab: list[str] = enc.dictionary.to_pylist()
     didx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    V = max(len(vocab), 1)
 
-    # tf per (doc, term): one sort of composite integer keys
-    comp = idx_np.astype(np.int64) * V + didx
-    uniq, counts = np.unique(comp, return_counts=True)
-    row_doc = uniq // V                       # chunk row index
-    row_tidx = (uniq % V).astype(np.int64)    # vocab index
-
-    # shard per unique term, once (vocab is tiny vs postings)
+    # shard per unique term, once (vocab is tiny vs postings); rank the
+    # vocabulary by (shard, first occurrence) — the dictionary order is
+    # first occurrence, so one stable argsort of the shard table does it
     shard_lut = np.fromiter(
         (term_shard_one(t, cfg.num_term_shards) for t in vocab),
         dtype=np.int32, count=len(vocab),
     )
+    by_rank = np.argsort(shard_lut, kind="stable")
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[by_rank] = np.arange(len(vocab), dtype=np.int64)
+
+    # tf per (doc, term), sorted by (rank, row) = (shard, term, ord):
+    # one sort of composite integer keys
+    n_rows = max(n_docs, 1)
+    uniq, counts = np.unique(rank[didx] * n_rows + idx_np,
+                             return_counts=True)
+    row_doc = uniq % n_rows                   # chunk row index
+    row_tidx = by_rank[uniq // n_rows]        # vocab index
+    n_post = len(uniq)
 
     # docmap rows lead (shard = -1, vocab index V as the placeholder)
-    all_shard = np.concatenate(
-        [shard_lut[row_tidx],
-         np.full(n_docs, DOCMAP_SHARD, dtype=np.int32)])
-    all_tidx = np.concatenate(
-        [row_tidx, np.full(n_docs, len(vocab), dtype=np.int64)])
-    all_ord = np.concatenate([ords[row_doc], ords])
-    all_tf = np.concatenate([counts.astype(np.int32), doclen])
-    all_doc = np.concatenate(
-        [np.zeros(len(row_doc), dtype=np.int64), doc_ids])
-    valid_doc = np.concatenate(
-        [np.zeros(len(row_doc), dtype=bool), np.ones(n_docs, dtype=bool)])
-
-    order = np.lexsort((all_ord, all_tidx, all_shard))
     term_col = pa.DictionaryArray.from_arrays(
-        pa.array(all_tidx[order].astype(np.int32)),
+        pa.array(np.concatenate(
+            [np.full(n_docs, len(vocab)), row_tidx]).astype(np.int32)),
         pa.array(vocab + [""], type=pa.string()),
     )
     if langs is not None:
-        lang_np = np.asarray(langs.to_pylist(), dtype=object)
-        all_lang = np.concatenate(
-            [np.full(len(row_doc), None, dtype=object), lang_np])[order]
-        lang_col = pa.array(all_lang.tolist(), type=pa.string())
+        lang_col = pa.concat_arrays(
+            [langs.cast(pa.string()), pa.nulls(n_post, pa.string())])
     else:
-        lang_col = pa.nulls(len(order), pa.string())
+        lang_col = pa.nulls(n_docs + n_post, pa.string())
     return pa.table(
         {
-            "shard": pa.array(all_shard[order]),
+            "shard": pa.array(np.concatenate(
+                [np.full(n_docs, DOCMAP_SHARD, dtype=np.int32),
+                 shard_lut[row_tidx]])),
             "term": term_col.cast(pa.string()),
-            "ord": pa.array(all_ord[order]),
-            "tf": pa.array(all_tf[order]),
-            "doc_id": pa.array(all_doc[order], type=pa.int64(),
-                               mask=~valid_doc[order]),
+            "ord": pa.array(np.concatenate([ords, ords[row_doc]])),
+            "tf": pa.array(np.concatenate([doclen, counts.astype(np.int32)])),
+            "doc_id": pa.concat_arrays(
+                [pa.array(doc_ids, type=pa.int64()),
+                 pa.nulls(n_post, pa.int64())]),
             "lang": lang_col,
         },
         schema=RUN_SCHEMA,

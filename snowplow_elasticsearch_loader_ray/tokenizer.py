@@ -4,13 +4,22 @@ This is the engine's hot per-record transform — the analogue of the
 reference's ``transformEnrichedEvent`` parse step
 (``modules/core/src/main/scala/.../Processing.scala:152-182``), which is
 per-record and embarrassingly parallel. Here the whole batch is
-processed with pyarrow C++ kernels (``utf8_lower`` →
-``split_pattern_regex`` → ``list_flatten`` + ``list_parent_indices`` →
-``Table.group_by``): no Python loop over rows or tokens.
+processed with pyarrow C++ kernels and one numpy byte-table lookup
+(``utf8_lower`` → byte table over the data buffer →
+``ascii_split_whitespace`` → ``list_flatten`` + ``list_parent_indices``
+→ ``Table.group_by``): no Python loop over rows or tokens, and no
+regex engine.
 
 Tokenization rule (fixed; the DuckDB oracle mirrors it exactly as
 ``list_filter(regexp_split_to_array(lower(text), '[^a-z0-9]+'), x -> x <> '')``):
 lowercase, split on runs of anything outside ``[a-z0-9]``, drop empties.
+
+The byte table is exact for that rule: after lowercasing, every byte of
+a multibyte UTF-8 character is >= 0x80, so testing each *byte* against
+``[a-z0-9]`` gives the same answer as testing each *character*. Mapping
+every other byte to a space keeps the buffer valid UTF-8 (a multibyte
+character becomes as many spaces as it had bytes), and the offsets and
+validity are reused, so row boundaries are untouched.
 """
 
 from __future__ import annotations
@@ -21,7 +30,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-TOKEN_SPLIT_PATTERN = "[^a-z0-9]+"
+#: byte → itself for ``[a-z0-9]``, → space for every other byte
+_TOKEN_BYTES = np.full(256, ord(" "), dtype=np.uint8)
+for _c in b"abcdefghijklmnopqrstuvwxyz0123456789":
+    _TOKEN_BYTES[_c] = _c
 
 
 def term_shard_one(term: str, num_shards: int) -> int:
@@ -68,9 +80,28 @@ def term_shards(terms: pa.Array, num_shards: int) -> np.ndarray:
     return lut[idx]
 
 
+def _blank_separators(lowered: pa.Array) -> pa.Array:
+    """Map every byte of a string array's data buffer through
+    ``_TOKEN_BYTES``; validity, offsets and array offset are reused."""
+    validity, offsets, data = lowered.buffers()
+    if data is None or data.size == 0:
+        return lowered
+    mapped = _TOKEN_BYTES[np.frombuffer(data, dtype=np.uint8)]
+    return pa.Array.from_buffers(
+        lowered.type, len(lowered),
+        [validity, offsets, pa.py_buffer(mapped)],
+        null_count=lowered.null_count, offset=lowered.offset)
+
+
 def tokenize_to_terms(texts: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, pa.Array]:
     """texts → (flat term array, parent row index array), empties dropped."""
-    toks = pc.split_pattern_regex(pc.utf8_lower(texts), pattern=TOKEN_SPLIT_PATTERN)
+    lowered = pc.utf8_lower(texts)
+    if isinstance(lowered, pa.ChunkedArray):
+        blanked = pa.chunked_array(
+            [_blank_separators(c) for c in lowered.chunks], lowered.type)
+    else:
+        blanked = _blank_separators(lowered)
+    toks = pc.ascii_split_whitespace(blanked)
     flat = pc.list_flatten(toks)
     idx = pc.list_parent_indices(toks)
     mask = pc.not_equal(flat, "")

@@ -295,3 +295,30 @@ def test_stream_position_is_durable_across_zero_batch_runs(tmp_path):
     c2 = stream_ingest(iter([(9, 150.0, b'{"n":9}')]), out, cfg=cfg,
                        clock=clk, initial_position="LATEST")
     assert c2["good"] == 1 and c2["skipped_position"] == 0
+
+
+def test_stream_legacy_dir_without_position_resumes_from_checkpoint(tmp_path):
+    """A dir with checkpoints but no ``position`` manifest (written
+    before the manifest existed) has subscribed already: a LATEST rerun
+    resumes from its checkpoint alone instead of re-subscribing 'now'
+    and position-skipping records that arrived between the runs."""
+    from snowplow_elasticsearch_loader_ray.sources.stream import stream_ingest
+    from snowplow_elasticsearch_loader_ray.state import manifest as mf
+
+    cfg = IndexConfig(flush_max_bytes=1, flush_max_delay_s=1e9)
+    out = str(tmp_path / "legacy")
+    man_dir = os.path.join(out, "manifests")
+    clk = FakeClock()
+    c1 = stream_ingest(iter([(i, 10.0 * i, b'{"n":%d}' % i)
+                             for i in range(5)]), out, cfg=cfg,
+                       clock=clk, initial_position="LATEST")
+    assert c1["good"] == 5
+    os.remove(mf.manifest_path(man_dir, "position"))     # legacy layout
+    clk.t = 500.0
+    c2 = stream_ingest(iter([(i, 10.0 * i, b'{"n":%d}' % i)
+                             for i in range(5)] + [(9, 150.0, b'{"n":9}')]),
+                       out, cfg=cfg, clock=clk, initial_position="LATEST")
+    assert c2["good"] == 1 and c2["skipped_position"] == 0
+    assert c2["skipped_resume"] == 5
+    # the resume-only position is now durable for later runs
+    assert mf.load(man_dir, "position")["min_ts"] is None

@@ -829,6 +829,27 @@ def test_string_predicates_and_fns_match_duckdb(ray_session):
                          ' | STATS n = COUNT(*)')
 
 
+def test_right_zero_keeps_nulls_matches_duckdb(ray_session, tmp_path):
+    """RIGHT(col, 0) is a typed string column that keeps input nulls,
+    like DuckDB's ``right(NULL, 0)``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "lang": pa.array(["en", None, "de", None])}),
+        tmp_path / "documents.parquet")
+    got = esql.execute(
+        str(tmp_path), "FROM documents | EVAL r0 = RIGHT(lang, 0)"
+                       " | KEEP doc_id, r0 | SORT doc_id | LIMIT 10")
+    want = duckdb.sql(
+        f"SELECT doc_id, right(lang, 0) AS r0 FROM "
+        f"'{tmp_path}/documents.parquet' ORDER BY doc_id").fetchall()
+    assert got.schema.field("r0").type == pa.string()
+    assert list(zip(got["doc_id"].to_pylist(),
+                    got["r0"].to_pylist())) == want
+
+
 def test_mv_count_matches_duckdb(ray_session):
     """MV_COUNT over an unexpanded SPLIT column: the value count comes
     from separator occurrences on the source string (no list

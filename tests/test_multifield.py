@@ -263,3 +263,36 @@ def test_derive_field_docs_restarts_clean_after_partial_write(
                       FieldSpec("text", first_tokens=5))
     assert pads.dataset(out).count_rows() == n
     assert os.path.exists(os.path.join(out, "_derived.done"))
+
+
+def test_derive_first_tokens_matches_regex_normalization():
+    """The ``first_tokens`` view regroups the index tokenizer's stream;
+    it must equal the previous RE2 normalize-then-split derivation on
+    a synthetic slice (plus null / token-less / punctuation-only rows),
+    for every prefix length and across batch chunks."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from snowplow_elasticsearch_loader_ray.pipelines.multifield import (
+        _derive_batch)
+    from snowplow_elasticsearch_loader_ray.sources import synth
+    from snowplow_elasticsearch_loader_ray.stages.extract import (
+        ExtractTransform)
+
+    def regex_view(texts, k):
+        norm = pc.utf8_trim_whitespace(pc.replace_substring_regex(
+            pc.utf8_lower(texts), "[^a-z0-9]+", " "))
+        return pc.binary_join(
+            pc.list_slice(pc.split_pattern(norm, " "), 0, k), " ")
+
+    out = ExtractTransform(IndexConfig(max_record_bytes=100_000))(
+        synth.generate_part(0, 400))
+    extra = pa.table({"doc_id": pa.array([-1, -2, -3, -4], pa.int64()),
+                      "text": pa.array([None, "", " ¿¡ ", "Ünï K-9"])})
+    batch = pa.concat_tables([out.select(["doc_id", "text"]), extra])
+    assert batch["text"].num_chunks == 2
+    for k in (1, 3, 8, 500):
+        got = _derive_batch(batch, "text", k)
+        assert got["doc_id"].equals(batch["doc_id"])
+        assert got["text"].to_pylist() == \
+            regex_view(batch["text"], k).to_pylist()
