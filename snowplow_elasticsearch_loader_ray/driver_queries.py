@@ -24,6 +24,7 @@ shuffle → merge → segment path, not a shortcut.
 
 from __future__ import annotations
 
+import fcntl
 import glob
 import hashlib
 import math
@@ -9355,22 +9356,30 @@ def _rollover_gens(sf_dir: str) -> list[dict]:
     # generation counter over an existing root (the ES semantics), so a
     # re-run must read back the recorded lifecycle, not append to it
     marker = os.path.join(root, "_lifecycle.json")
-    if os.path.exists(marker):
-        return _json.load(open(marker))
-
-    docs = pq.read_table(_docs_path(sf_dir), columns=["doc_id", "text"])
-    docs = docs.sort_by("doc_id")
-    w = RO.RolloverWriter(root, max_docs=ROLLOVER_MAX_DOCS, cfg=CFG)
-    for off in range(0, docs.num_rows, ROLLOVER_BATCH):
-        w.append(docs.slice(off, ROLLOVER_BATCH))
-    gens = w.finish()
-    if gens and resolve(root, "docs-write") != gens[-1]["index_dir"]:
-        raise RuntimeError("write alias does not name the newest generation")
-    tmp = marker + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        _json.dump(gens, f)
-    os.replace(tmp, marker)
-    return gens
+    # the marker check and the build are one critical section: two
+    # callers that both miss the marker would run two writers over one
+    # root and interleave their generations. The lock file sits beside
+    # the root, not in the alias registry: RolloverWriter takes the
+    # registry lock itself, and a second flock on a new descriptor of
+    # the same file blocks even within one process.
+    os.makedirs(os.path.dirname(root), exist_ok=True)
+    with open(os.path.join(os.path.dirname(root), "rollover.lock"), "w") as lk:
+        fcntl.flock(lk, fcntl.LOCK_EX)
+        if os.path.exists(marker):
+            return _json.load(open(marker))
+        docs = pq.read_table(_docs_path(sf_dir), columns=["doc_id", "text"])
+        docs = docs.sort_by("doc_id")
+        w = RO.RolloverWriter(root, max_docs=ROLLOVER_MAX_DOCS, cfg=CFG)
+        for off in range(0, docs.num_rows, ROLLOVER_BATCH):
+            w.append(docs.slice(off, ROLLOVER_BATCH))
+        gens = w.finish()
+        if gens and resolve(root, "docs-write") != gens[-1]["index_dir"]:
+            raise RuntimeError("write alias does not name the newest generation")
+        tmp = marker + f".tmp.{os.getpid()}"
+        with open(tmp, "w") as f:
+            _json.dump(gens, f)
+        os.replace(tmp, marker)
+        return gens
 
 
 def rollover_stats(sf_dir: str) -> pa.Table:

@@ -1,38 +1,48 @@
 """Index build: ingest → SPIMI runs → per-shard segment encode.
 
-Physical plan (SURVEY.md §7.3), all stages streaming Ray Data unless
-noted:
+Physical plan (SURVEY.md §7.3). Every stage is plain Ray tasks over the
+Arrow batch kernels (``ExtractTransform``, ``TokenizeFilePostings``,
+``encode_shard_table``): one task runs a whole fused read → kernel →
+write pipeline over its slice of the input (the Velox driver model,
+PAPERS.md), and the driver only plans, commits manifests and rolls up
+counters. No stage starts a Ray Data execution.
 
-1. **ingest_pages** (optional, for raw page corpora):
-   ``read_parquet(pages, columns=[url, warc_ts, html, lang])`` →
-   ``map_batches(ExtractTransform)`` → one ``write_parquet`` partitioned
-   by ``status``: good docs and dead-letter rows land in separate
-   directories from a single pass (the reference's good-sink/bad-sink
-   split, ``Processing.scala:209-267``, without reading the corpus
-   twice). Note ``text`` is NOT read — the engine re-derives it from
+1. **ingest_pages** (optional, for raw page corpora): one task per page
+   file reads it in ``cfg.batch_size`` batches of
+   ``[url, warc_ts, html, lang]``, runs ``ExtractTransform`` and streams
+   each status's rows to ``status=<s>/part-<k>.parquet`` (k = the page
+   file's position in input order): good docs and dead-letter rows land
+   in separate directories from a single pass (the reference's
+   good-sink/bad-sink split, ``Processing.scala:209-267``, without
+   reading the corpus twice). Docs files are named in input order, so
+   the doc ordinals below (sorted file order) do not depend on the
+   cluster. Note ``text`` is NOT read — the engine re-derives it from
    ``html`` (byte-identity invariant).
 
-2. **phase 1 — runs**: per input partition, one task per input file
-   (``map_batches(TokenizeFilePostings)`` over (path, ordinal-base)
-   items — each doc gets its dense corpus ORDINAL, see
-   stages/postings.py) → shard-sorted parquet with small row groups →
-   atomic rename → ``docmap/part-K.parquet`` (ord → doc_id, doclen;
-   a contiguous ordinal range per part) → manifest commit. The
-   shard-clustered row-group layout IS the term-shard exchange,
-   materialized to storage instead of held in the object store: at
-   100 TB the shuffle spills by construction, a killed job resumes at
-   partition granularity (the KCL-checkpoint analogue, SURVEY.md C1),
-   and the file count stays at one per output block (not blocks ×
-   shards).
+2. **phase 1 — runs**: one task per resume part (a contiguous slice of
+   the sorted doc files) tokenizes its files
+   (``TokenizeFilePostings`` — each doc gets its dense corpus ORDINAL,
+   see stages/postings.py), streams the shard-sorted chunks into one
+   run file with small row groups → atomic rename, and writes
+   ``docmap/part-K.parquet`` (ord → doc_id, doclen, lang; a contiguous
+   ordinal range per part) from the chunks' docmap rows held in
+   memory. The driver commits each part's manifest as its task
+   finishes. The shard-clustered row-group layout IS the term-shard
+   exchange, materialized to storage instead of held in the object
+   store: at 100 TB the shuffle spills by construction, a killed job
+   resumes at partition granularity (the KCL-checkpoint analogue,
+   SURVEY.md C1), and the file count stays at one per part (not
+   parts × shards).
 
-3. **phase 2 — segments**: one Ray task per shard reads
-   ``runs/part=*/*.parquet`` with a ``shard == j`` filter (row-group
-   statistics prune to ~1/num_shards of each file), sorts by
-   (term, ord), delta/FOR-encodes posting blocks with block-max
-   metadata and commits ``segments/shard-j.parquet`` + manifest.
-   Ordinal keys make the average delta gap n_docs/df (vs 2^63/n for
-   raw 64-bit id hashes), so postings land at ~1-2 B each instead
-   of ~9. Embarrassingly parallel — the all-to-all already happened in
+3. **phase 2 — segments**: one Ray task per contiguous shard group
+   reads ``runs/part=*/*.parquet`` with a shard-range filter (row-group
+   statistics prune to the group's share of each file), orders each
+   shard's rows by term (ords already arrive ascending within a term),
+   delta/FOR-encodes posting blocks with block-max metadata and
+   commits ``segments/shard-j.parquet`` + manifest. Ordinal keys make
+   the average delta gap n_docs/df (vs 2^63/n for raw 64-bit id
+   hashes), so postings land at ~1-2 B each instead of ~9.
+   Embarrassingly parallel — the all-to-all already happened in
    phase 1. Head-term skew: a single term's postings are inherently one
    list, but shards hold many terms and ``num_term_shards`` spreads the
    heavy ones (SURVEY.md §4 "Skew").
@@ -50,15 +60,18 @@ import shutil
 import time
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-# Ray's path resolution probes `fsspec.implementations.http` on every
-# read/write call; without aiohttp that import raises, and when two
-# threads race the probe the half-initialized module surfaces as a bare
-# ImportError that Ray's ModuleNotFoundError handler misses. Wrap the
-# probe so concurrently-driven pipelines (threaded phase-1 parts) are
-# safe: no-http-filesystem is the correct answer either way.
+# Ray Data's path resolution probes `fsspec.implementations.http` on
+# every read/write call; without aiohttp that import raises, and when
+# two threads race the probe the half-initialized module surfaces as a
+# bare ImportError that Ray's ModuleNotFoundError handler misses. The
+# build no longer runs Ray Data, but the package's other pipelines do,
+# and a caller may drive several of them from threads at once. Wrap the
+# probe so that is safe: no-http-filesystem is the correct answer
+# either way.
 from ray.data.datasource import path_util as _ray_path_util
 
 _orig_is_http = _ray_path_util._is_http_filesystem
@@ -75,7 +88,7 @@ _ray_path_util._is_http_filesystem = _is_http_filesystem_safe
 
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
 from ..stages.extract import ExtractTransform
-from ..stages.postings import TokenizeFilePostings
+from ..stages.postings import RUN_SCHEMA, TokenizeFilePostings
 from ..stages.segment import encode_shard_table, SEGMENT_SCHEMA
 from ..stages.transforms import with_retries
 from ..state import manifest as mf
@@ -97,13 +110,48 @@ def _input_files(source: str | list[str]) -> list[str]:
 # ingest (pages → docs + dead letters)
 # --------------------------------------------------------------------------
 
+#: page columns the extract kernel reads (``text`` is re-derived)
+PAGE_COLUMNS = ["url", "warc_ts", "html", "lang"]
+
+
+@ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
+def _ingest_file(path: str, k: int, tmp: str, cfg: IndexConfig) -> dict[str, int]:
+    """Ingest one page file: ``ExtractTransform`` batch by batch, each
+    status's rows (without the ``status`` column) streamed to
+    ``tmp/status=<s>/part-<k>.parquet``; → rows per status. A retry
+    rewrites the same files."""
+    extract = ExtractTransform(cfg)
+    writers: dict[str, pq.ParquetWriter] = {}
+    counts: dict[str, int] = {}
+    try:
+        for batch in pq.ParquetFile(path).iter_batches(
+                batch_size=cfg.batch_size, columns=PAGE_COLUMNS):
+            out = extract(pa.Table.from_batches([batch]))
+            tags = out["status"]
+            rows = out.drop_columns(["status"])
+            for status in pc.unique(tags).to_pylist():
+                part = rows.filter(pc.equal(tags, status))
+                if status not in writers:
+                    d = os.path.join(tmp, f"status={status}")
+                    os.makedirs(d, exist_ok=True)
+                    writers[status] = pq.ParquetWriter(
+                        os.path.join(d, f"part-{k:05d}.parquet"),
+                        part.schema, compression="zstd")
+                writers[status].write_table(part)
+                counts[status] = counts.get(status, 0) + part.num_rows
+    finally:
+        for w in writers.values():
+            w.close()
+    return counts
+
+
 def ingest_pages(pages: str | list[str], out_dir: str,
                  cfg: IndexConfig = DEFAULT_CONFIG) -> dict:
     """Extract text from raw pages; returns the ingest counter dict.
 
     Output layout: ``out_dir/docs/status=good/*.parquet`` (document
     table) and ``status=<error_type>/`` (dead letters), one streaming
-    pass, committed via manifest.
+    pass (one task per page file), committed via manifest.
     """
     files = _input_files(pages)
     man_dir = os.path.join(out_dir, "manifests")
@@ -113,31 +161,24 @@ def ingest_pages(pages: str | list[str], out_dir: str,
 
     tmp = os.path.join(out_dir, "_tmp_docs")
     shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
     t0 = time.time()
-    # one block per input file + block-aligned batches: map stages see
-    # whole zero-copy blocks instead of re-sliced seams across blocks
-    ds = ray.data.read_parquet(files, columns=["url", "warc_ts", "html", "lang"],
-                               override_num_blocks=len(files))
-    ds = ds.map_batches(ExtractTransform(cfg), batch_format="pyarrow",
-                        batch_size=cfg.batch_size)
-    ds.write_parquet(tmp, partition_cols=["status"], compression="zstd")
+    totals: dict[str, int] = {}
+    for counts in ray.get([_ingest_file.remote(f, k, tmp, cfg)
+                           for k, f in enumerate(files)]):
+        for status, n in counts.items():
+            totals[status] = totals.get(status, 0) + n
     if os.path.exists(docs_dir):
         shutil.rmtree(docs_dir)
     # docs are a lineage-recoverable intermediate (re-derivable from the
     # pages by rerunning ingest) — no per-file fsync
     mf.commit_dir_rename(tmp, docs_dir, durable=False)
 
-    # per-status counts from parquet footers only (no data scan): the
-    # hive layout keys each status to a directory, so footer row counts
-    # are exact — at 100 TB this is a metadata listing, not a read
-    counters: dict[str, int] = {}
-    error_samples: dict[str, list[str]] = {}
-    for d in sorted(glob.glob(os.path.join(docs_dir, "status=*"))):
-        status = os.path.basename(d).split("=", 1)[1]
-        part_files = glob.glob(os.path.join(d, "*.parquet"))
-        counters[status] = _footer_rows(part_files)
-        if status != "good" and part_files:
-            error_samples[status] = _sample_errors(part_files[0])
+    counters = {status: totals[status] for status in sorted(totals)}
+    error_samples = {
+        status: _sample_errors(sorted(glob.glob(os.path.join(
+            docs_dir, f"status={status}", "*.parquet")))[0])
+        for status in counters if status != "good"}
     counters.setdefault("good", 0)
     mf.commit(man_dir, "ingest", {
         "stage": "ingest",
@@ -181,11 +222,14 @@ def good_docs_dir(ingest_out_dir: str) -> str:
 # --------------------------------------------------------------------------
 
 #: run-part on-disk format version. 2 = ordinal run rows + per-part
-#: docmap extraction + CONTIGUOUS _plan_parts grouping. Bump whenever
-#: the part layout or row schema changes: resume compares it (and the
-#: exact file grouping) against committed manifests and REFUSES a mixed
-#: index instead of silently skipping old-format parts.
-RUN_FORMAT = 2
+#: docmap extraction + CONTIGUOUS _plan_parts grouping. 3 = one run
+#: file per part whose rows keep the chunks' ordinal order, which phase
+#: 2 relies on (format-2 parts were written through an order-free
+#: block write). Bump whenever the part layout or row schema changes:
+#: resume compares it (and the exact file grouping) against committed
+#: manifests and REFUSES a mixed index instead of silently skipping
+#: old-format parts.
+RUN_FORMAT = 3
 
 
 def _plan_parts(files: list[str], target_parts: int | None) -> list[list[str]]:
@@ -225,82 +269,85 @@ DOCMAP_SCHEMA = pa.schema([
 ])
 
 
-def _write_part_docmap(part_dir: str, index_dir: str, k: int) -> tuple[str, dict]:
-    """Extract a part's docmap rows (shard == -1, row-group pruned) into
-    ``docmap/part-K.parquet`` sorted by ordinal; → (path, counters).
-
-    Called in-process by the inline fast path; the distributed path runs
-    it as a Ray task (``_write_part_docmap_task``) so the scan+sort+write
-    lands on a cluster slot — on the driver it would be free hidden
-    parallelism that neither scales with the cluster nor survives a
-    10^12-doc part count."""
-    import pyarrow.dataset as pads
-
-    dm_dir = os.path.join(index_dir, "docmap")
-    os.makedirs(dm_dir, exist_ok=True)
-    t = pads.dataset(sorted(glob.glob(os.path.join(part_dir, "*.parquet")))) \
-        .to_table(columns=["ord", "doc_id", "tf", "lang"],
-                  filter=pads.field("shard") == DOCMAP_SHARD)
-    order = pa.compute.sort_indices(t["ord"])
-    dm = pa.table({
-        "ord": t["ord"].take(order),
-        "doc_id": t["doc_id"].take(order),
-        "doclen": t["tf"].take(order).cast(pa.int64()),
-        "lang": t["lang"].take(order),
-    }, schema=DOCMAP_SCHEMA)
-    out = os.path.join(dm_dir, f"part-{k:04d}.parquet")
-    tmp = out + ".tmp"
-    pq.write_table(dm, tmp, compression="zstd")
-    os.replace(tmp, out)
-    tokens = int(pa.compute.sum(dm["doclen"]).as_py() or 0)
-    return out, {"docs": dm.num_rows, "tokens": tokens}
+def _ordinal_bases(doc_files: list[str]) -> dict[str, int]:
+    """Doc-ordinal base offset per input file: cumulative footer row
+    counts (metadata only) over the SORTED global file list —
+    deterministic across resumes, independent of part grouping."""
+    bases: dict[str, int] = {}
+    at = 0
+    for f in doc_files:
+        bases[f] = at
+        at += pq.ParquetFile(f).metadata.num_rows
+    return bases
 
 
-@ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
-def _write_part_docmap_task(part_dir: str, index_dir: str, k: int) -> tuple[str, dict]:
-    return _write_part_docmap(part_dir, index_dir, k)
+def _build_part(k: int, files_k: list[str], bases_k: list[int],
+                index_dir: str, cfg: IndexConfig,
+                keep: list[pa.Table] | None = None) -> dict:
+    """Phase-1 part K in the calling process → its ``runs-part-K``
+    manifest payload (the caller commits it).
 
-
-def _build_one_part(k: int, files_k: list[str], bases_k: list[int],
-                    index_dir: str, cfg: IndexConfig) -> None:
-    man_dir = os.path.join(index_dir, "manifests")
-    runs_dir = os.path.join(index_dir, "runs")
+    Tokenizes the part's files, streams the chunks into one run file
+    (one row group per ``run_row_group_size`` rows of a chunk: each
+    chunk is sorted by shard, so the row groups stay shard-clustered
+    and phase 2 prunes to its shards via row-group statistics), then
+    writes ``docmap/part-K.parquet`` from the chunks' docmap rows
+    (``shard == -1``) kept in memory — the run file is never read back.
+    ``keep`` (the inline build) collects the chunks for an in-memory
+    phase 2."""
     t0 = time.time()
+    runs_dir = os.path.join(index_dir, "runs")
     final = os.path.join(runs_dir, f"part={k:04d}")
     tmp = os.path.join(runs_dir, f"_tmp_part={k:04d}")
     shutil.rmtree(tmp, ignore_errors=True)
     shutil.rmtree(final, ignore_errors=True)  # uncommitted leftovers
-
-    items = [{"path": p, "base": b} for p, b in zip(files_k, bases_k)]
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    ds = ds.map_batches(TokenizeFilePostings(cfg), batch_format="pyarrow",
-                        batch_size=None,
-                        concurrency=cfg.build_concurrency)
-    # One file per output block with shard-clustered row groups (the
-    # chunk is sorted by shard): phase 2 then prunes to its shard via
-    # row-group statistics. This replaces a hive write of blocks ×
-    # shards tiny files — at 100 TB that's the difference between ~10^4
-    # and ~10^6 exchange files per partition.
-    ds.write_parquet(tmp, row_group_size=cfg.run_row_group_size,
-                     compression="zstd")
+    os.makedirs(tmp)
+    items = pa.table({"path": files_k, "base": bases_k})
+    run_rows = 0
+    docmap_rows = [RUN_SCHEMA.empty_table()]
+    with pq.ParquetWriter(os.path.join(tmp, "run-00000.parquet"), RUN_SCHEMA,
+                          compression="zstd") as w:
+        for chunk in TokenizeFilePostings(cfg)(items):
+            w.write_table(chunk, row_group_size=cfg.run_row_group_size)
+            run_rows += chunk.num_rows
+            docmap_rows.append(
+                chunk.filter(pc.equal(chunk["shard"], DOCMAP_SHARD)))
+            if keep is not None:
+                keep.append(chunk)
     # runs are shuffle intermediates: recompute-on-loss, not fsync
     mf.commit_dir_rename(tmp, final, durable=False)
-    dm_out, counters = ray.get(
-        _write_part_docmap_task.remote(final, index_dir, k))
-    run_rows = _footer_rows(glob.glob(os.path.join(final, "*.parquet")))
-    counters["postings"] = int(run_rows - counters["docs"])
-    mf.commit(man_dir, f"runs-part-{k:04d}", {
+
+    # chunks come in ordinal order and each one's docmap rows have
+    # strictly increasing ords, so the docmap is already ord-sorted
+    t = pa.concat_tables(docmap_rows)
+    dm = pa.table({"ord": t["ord"], "doc_id": t["doc_id"],
+                   "doclen": t["tf"].cast(pa.int64()), "lang": t["lang"]},
+                  schema=DOCMAP_SCHEMA)
+    dm_dir = os.path.join(index_dir, "docmap")
+    os.makedirs(dm_dir, exist_ok=True)
+    dm_out = os.path.join(dm_dir, f"part-{k:04d}.parquet")
+    pq.write_table(dm, dm_out + ".tmp", compression="zstd")
+    os.replace(dm_out + ".tmp", dm_out)
+    return {
         "part": k,
         "stage": "runs",
         "format": RUN_FORMAT,
         "input_files": [os.path.basename(f) for f in files_k],
-        "row_count": counters["docs"],
-        "counters": counters,
+        "row_count": dm.num_rows,
+        "counters": {"docs": dm.num_rows,
+                     "tokens": int(pc.sum(dm["doclen"]).as_py() or 0),
+                     "postings": run_rows - dm.num_rows},
         "outputs": [os.path.relpath(final, index_dir),
                     os.path.relpath(dm_out, index_dir)],
         "durable": False,          # shuffle intermediate (rerun part)
         "wall_s": round(time.time() - t0, 3),
-    })
+    }
+
+
+@ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
+def _build_part_task(k: int, files_k: list[str], bases_k: list[int],
+                     index_dir: str, cfg: IndexConfig) -> dict:
+    return _build_part(k, files_k, bases_k, index_dir, cfg)
 
 
 def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
@@ -325,46 +372,53 @@ def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
 
 def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
                num_parts: int | None = None) -> None:
-    """Phase 1. Parts are the RESUME granularity, not the parallelism
-    unit: uncommitted parts run as concurrently-driven Ray Data
-    pipelines (each streams its own blocks across the cluster), so a
-    fine checkpoint grain doesn't serialize the build. With the
-    fail_after_parts test hook the loop runs sequentially so the commit
-    count at failure is deterministic."""
+    """Phase 1: one Ray task per uncommitted part, each manifest
+    committed as its task finishes. Parts are the RESUME granularity;
+    ``cfg.build_concurrency`` (when set) caps the tasks in flight. With
+    the fail_after_parts test hook the parts run one at a time so the
+    commit count at failure is deterministic."""
     man_dir = os.path.join(index_dir, "manifests")
     os.makedirs(os.path.join(index_dir, "runs"), exist_ok=True)
-    # doc ordinals: base offset per input file from footer row counts
-    # (metadata only), cumulative over the SORTED global file list —
-    # deterministic across resumes, independent of part grouping
-    rows_per_file = [pq.ParquetFile(f).metadata.num_rows for f in doc_files]
-    bases: dict[str, int] = {}
-    at = 0
-    for f, n in zip(doc_files, rows_per_file):
-        bases[f] = at
-        at += n
+    bases = _ordinal_bases(doc_files)
     parts = _plan_parts(doc_files, num_parts)
     _check_resumable_parts(man_dir, parts)
     todo = [(k, files_k) for k, files_k in enumerate(parts)
             if not mf.is_committed(man_dir, f"runs-part-{k:04d}")]
+
+    def submit(k: int, files_k: list[str]) -> ray.ObjectRef:
+        return _build_part_task.remote(k, files_k, [bases[f] for f in files_k],
+                                       index_dir, cfg)
+
+    def commit(ref: ray.ObjectRef) -> None:
+        payload = ray.get(ref)
+        mf.commit(man_dir, f"runs-part-{payload['part']:04d}", payload)
+
     if cfg.fail_after_parts is not None:
         for done, (k, files_k) in enumerate(todo, start=1):
-            _build_one_part(k, files_k, [bases[f] for f in files_k], index_dir, cfg)
+            commit(submit(k, files_k))
             if done >= cfg.fail_after_parts:
                 raise SimulatedFailure(f"injected failure after {done} run parts")
         return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(todo)))) as pool:
-        futs = [pool.submit(_build_one_part, k, files_k,
-                            [bases[f] for f in files_k], index_dir, cfg)
-                for k, files_k in todo]
-        for f in futs:
-            f.result()
+    cap = cfg.build_concurrency or len(todo)
+    queue, pending, error = todo[::-1], [], None
+    while queue or pending:
+        while queue and len(pending) < cap:
+            pending.append(submit(*queue.pop()))
+        [ref], pending = ray.wait(pending, num_returns=1)
+        try:
+            commit(ref)
+        except Exception as e:
+            # submit no more parts, but commit the ones already running
+            # so a resume redoes as little as possible
+            error, queue = error or e, []
+    if error is not None:
+        raise error
 
 
 # --------------------------------------------------------------------------
-# phase 2: segments (one Ray task per shard — the exchange already
-# happened via the partitioned run write, so this is a parallel map)
+# phase 2: segments (one Ray task per shard group — the exchange
+# already happened via the shard-clustered run files, so this is a
+# parallel map)
 # --------------------------------------------------------------------------
 
 def load_docmap(index_dir: str):
@@ -411,6 +465,37 @@ def load_docvalues(index_dir: str, column: str = "lang"):
     return vals
 
 
+def _write_segment(seg: pa.Table, index_dir: str, shard: int,
+                   run_files: list[str]) -> dict:
+    """Write ``segments/shard-<s>.parquet`` (tmp + rename) → its
+    ``segment-shard`` manifest payload (the caller commits it)."""
+    seg_dir = os.path.join(index_dir, "segments")
+    os.makedirs(seg_dir, exist_ok=True)
+    out = os.path.join(seg_dir, f"shard-{shard:04d}.parquet")
+    tmp = out + ".tmp"
+
+    def _write() -> None:
+        # transient I/O retried with the reference's bounded budget
+        # (5 × 1 s, reference.conf:31-36); deterministic failures
+        # raise immediately (W2 permanent/transient split)
+        pq.write_table(seg, tmp, compression="zstd")
+        os.replace(tmp, out)
+
+    with_retries(_write, delay_s=0.2)
+    return {
+        "part": shard,
+        "stage": "segments",
+        "input_files": [os.path.relpath(f, index_dir) for f in run_files],
+        "counters": {
+            "terms": int(seg.num_rows),
+            "postings": int(pc.sum(seg["df"]).as_py() or 0),
+            "bytes_written": os.path.getsize(out),
+        },
+        "outputs": [os.path.relpath(out, index_dir)],
+        "content_hash": mf.content_hash([out]),
+    }
+
+
 @ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
 def _encode_shard_group(index_dir: str, shards: list[int],
                         block_size: int) -> list[dict]:
@@ -444,8 +529,6 @@ def _encode_shard_group(index_dir: str, shards: list[int],
     # ARROW_IO_THREADS=2 in the environment (bench.py) remains the one
     # honest-accounting knob for scaling comparisons.
 
-    import pyarrow.compute as pc
-
     # test hook (resilience tests): a `_faults/shard-<k>.once` file makes
     # this task fail transiently exactly once; Ray's task retry
     # (max_retries default) then recomputes it — the W3 transient path
@@ -455,10 +538,8 @@ def _encode_shard_group(index_dir: str, shards: list[int],
             os.remove(fault)
             raise OSError(f"injected transient failure for shard {shard}")
 
-    runs_dir = os.path.join(index_dir, "runs")
-    seg_dir = os.path.join(index_dir, "segments")
-    os.makedirs(seg_dir, exist_ok=True)
-    files = sorted(glob.glob(os.path.join(runs_dir, "part=*", "*.parquet")))
+    files = sorted(glob.glob(os.path.join(index_dir, "runs", "part=*",
+                                          "*.parquet")))
     if not files and mf.load_all(os.path.join(index_dir, "manifests"),
                                  prefix="runs-part-"):
         # committed run parts but no run files: runs were GC'd after the
@@ -495,30 +576,7 @@ def _encode_shard_group(index_dir: str, shards: list[int],
             sub = runs.filter(pc.equal(runs["shard"], shard)) \
                       .select(["term", "ord", "tf"])
             seg = encode_shard_table(sub, block_size=block_size)
-        out = os.path.join(seg_dir, f"shard-{shard:04d}.parquet")
-        tmp = out + ".tmp"
-
-        def _write() -> None:
-            # transient I/O retried with the reference's bounded budget
-            # (5 × 1 s, reference.conf:31-36); deterministic failures
-            # raise immediately (W2 permanent/transient split)
-            pq.write_table(seg, tmp, compression="zstd")
-            os.replace(tmp, out)
-
-        with_retries(_write, delay_s=0.2)
-
-        payloads.append({
-            "part": shard,
-            "stage": "segments",
-            "input_files": [os.path.relpath(f, index_dir) for f in files],
-            "counters": {
-                "terms": int(seg.num_rows),
-                "postings": int(pa.compute.sum(seg["df"]).as_py() or 0),
-                "bytes_written": os.path.getsize(out),
-            },
-            "outputs": [os.path.relpath(out, index_dir)],
-            "content_hash": mf.content_hash([out]),
-        })
+        payloads.append(_write_segment(seg, index_dir, shard, files))
     return payloads
 
 
@@ -590,110 +648,59 @@ def _build_index_inline(files: list[str], index_dir: str,
                         cfg: IndexConfig) -> None:
     """Both phases in the calling process, for corpora at or below
     ``cfg.inline_build_max_docs`` (an NRT delta generation, a unit-test
-    fixture). Emits the EXACT artifacts of the distributed path — run
-    parts under the default per-file grouping, docmap parts, segment
-    shards, the same manifest payloads — so a build that crashes here
-    resumes under either path and vice versa. The point is latency:
-    a refresh-interval delta is a few thousand docs, and the
-    distributed build's per-stage Ray Data pipelines carry seconds of
-    fixed scheduling overhead that would dominate the
-    stream→searchable SLO (``ElasticsearchSink.scala:81-198`` loads a
-    micro-batch synchronously for the same reason; Lucene's refresh
-    flushes the in-memory segment in-process)."""
-    import pyarrow.compute as pc
+    fixture). Runs the distributed path's part body (``_build_part``,
+    under the default per-file grouping) and segment writer, so the
+    artifacts and manifest payloads are EXACTLY the distributed
+    path's, and a build that crashes here resumes under either path
+    and vice versa. Phase 2 encodes the rows the parts just produced,
+    from memory. The point is latency: a refresh-interval delta is a
+    few thousand docs, and scheduling even a handful of Ray tasks per
+    stage would dominate the stream→searchable SLO
+    (``ElasticsearchSink.scala:81-198`` loads a micro-batch
+    synchronously for the same reason; Lucene's refresh flushes the
+    in-memory segment in-process)."""
     import pyarrow.dataset as pads
 
     man_dir = os.path.join(index_dir, "manifests")
     runs_dir = os.path.join(index_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
-    bases: dict[str, int] = {}
-    at = 0
-    for f in files:
-        bases[f] = at
-        at += pq.ParquetFile(f).metadata.num_rows
+    bases = _ordinal_bases(files)
     parts = _plan_parts(files, None)       # per-file: the distributed default
     _check_resumable_parts(man_dir, parts)
 
-    tok = TokenizeFilePostings(cfg)
-    part_tables: list[pa.Table | None] = []
+    cols = ["shard", "term", "ord", "tf"]
+    rows: list[pa.Table] = [RUN_SCHEMA.empty_table().select(cols)]
     for k, files_k in enumerate(parts):
-        final = os.path.join(runs_dir, f"part={k:04d}")
         if mf.is_committed(man_dir, f"runs-part-{k:04d}"):
-            part_tables.append(None)       # committed by a prior run; read back
-            continue
-        t0 = time.time()
-        tmp = os.path.join(runs_dir, f"_tmp_part={k:04d}")
-        shutil.rmtree(tmp, ignore_errors=True)
-        shutil.rmtree(final, ignore_errors=True)
-        os.makedirs(tmp)
-        items = pa.table({"path": files_k,
-                          "base": [bases[f] for f in files_k]})
-        run = pa.concat_tables(list(tok(items)))
-        pq.write_table(run, os.path.join(tmp, "run-00000.parquet"),
-                       row_group_size=cfg.run_row_group_size,
-                       compression="zstd")
-        mf.commit_dir_rename(tmp, final, durable=False)
-        dm_out, counters = _write_part_docmap(final, index_dir, k)
-        counters["postings"] = int(run.num_rows - counters["docs"])
-        mf.commit(man_dir, f"runs-part-{k:04d}", {
-            "part": k,
-            "stage": "runs",
-            "format": RUN_FORMAT,
-            "input_files": [os.path.basename(f) for f in files_k],
-            "row_count": counters["docs"],
-            "counters": counters,
-            "outputs": [os.path.relpath(final, index_dir),
-                        os.path.relpath(dm_out, index_dir)],
-            "durable": False,
-            "wall_s": round(time.time() - t0, 3),
-        })
-        part_tables.append(run)
-
-    # phase 2 over the in-memory rows (resumed parts read back once —
-    # plain string terms so all parts concat under one schema; the
-    # encode dictionary-encodes per shard anyway)
-    for k, t in enumerate(part_tables):
-        if t is None:
+            # committed by a prior run: read its rows back
             fs = sorted(glob.glob(os.path.join(runs_dir, f"part={k:04d}",
                                                "*.parquet")))
             if not fs:
-                # same recovery contract as _encode_shard: committed part
-                # manifest but no run files means runs/ was reclaimed
+                # same recovery contract as _encode_shard_group: committed
+                # part manifest but no run files means runs/ was reclaimed
                 raise RuntimeError(
                     "runs/ was garbage-collected; to re-encode, rerun "
                     "phase 1 first (delete the runs-part-* manifests and "
                     "call build_index again)")
-            part_tables[k] = pads.dataset(fs).to_table(
-                columns=["shard", "term", "ord", "tf"])
-    full = pa.concat_tables(
-        [t.select(["shard", "term", "ord", "tf"]) for t in part_tables])
+            rows.append(pads.dataset(fs).to_table(columns=cols))
+            continue
+        chunks: list[pa.Table] = []
+        mf.commit(man_dir, f"runs-part-{k:04d}",
+                  _build_part(k, files_k, [bases[f] for f in files_k],
+                              index_dir, cfg, keep=chunks))
+        rows += [c.select(cols) for c in chunks]
+
+    full = pa.concat_tables(rows)
     run_files = sorted(glob.glob(os.path.join(runs_dir, "part=*",
                                               "*.parquet")))
-    seg_dir = os.path.join(index_dir, "segments")
-    os.makedirs(seg_dir, exist_ok=True)
     shard_col = full["shard"]
     for shard in range(cfg.num_term_shards):
         if mf.is_committed(man_dir, f"segment-shard-{shard:04d}"):
             continue
-        sub = full.filter(pc.equal(shard_col, shard)) \
-                  .select(["term", "ord", "tf"])
+        sub = full.filter(pc.equal(shard_col, shard)).select(cols[1:])
         seg = encode_shard_table(sub, block_size=cfg.block_size)
-        out = os.path.join(seg_dir, f"shard-{shard:04d}.parquet")
-        pq.write_table(seg, out + ".tmp", compression="zstd")
-        os.replace(out + ".tmp", out)
-        mf.commit(man_dir, f"segment-shard-{shard:04d}", {
-            "part": shard,
-            "stage": "segments",
-            "input_files": [os.path.relpath(f, index_dir)
-                            for f in run_files],
-            "counters": {
-                "terms": int(seg.num_rows),
-                "postings": int(pa.compute.sum(seg["df"]).as_py() or 0),
-                "bytes_written": os.path.getsize(out),
-            },
-            "outputs": [os.path.relpath(out, index_dir)],
-            "content_hash": mf.content_hash([out]),
-        })
+        mf.commit(man_dir, f"segment-shard-{shard:04d}",
+                  _write_segment(seg, index_dir, shard, run_files))
 
 
 # --------------------------------------------------------------------------
@@ -776,7 +783,7 @@ def gc_runs(index_dir: str) -> int:
     the dominant scratch footprint). Returns bytes freed. After GC, a
     deleted segment manifest can no longer re-encode from runs — the
     recovery path is rerunning phase 1 (delete the ``runs-part-*``
-    manifests too; ``_encode_shard`` fails loudly on the half-state).
+    manifests too; ``_encode_shard_group`` fails loudly on the half-state).
     """
     man_dir = os.path.join(index_dir, "manifests")
     if not mf.is_committed(man_dir, "index"):

@@ -9,7 +9,7 @@ aggregates the reference's operator inventory calls out as engine-added
 (SURVEY.md §2 notes).
 
 Runs on one shard's data at a time — the shard exchange already
-happened via the hive-partitioned run write, so this is an
+happened via the shard-clustered run files, so this is an
 embarrassingly parallel per-shard map (no second all-to-all).
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..codec import encode_postings_batch
 
@@ -40,45 +41,42 @@ def encode_shard_table(runs: pa.Table, block_size: int = 128) -> pa.Table:
     guarantees: every doc is tokenized in exactly one batch and the
     per-batch combiner already collapsed duplicates.
 
-    The (term, doc_id) sort runs on integer keys: the term column is
-    dictionary-encoded once and rows are ordered by (term rank, ord)
-    with ``np.lexsort`` — the vocabulary is tiny next to the posting
-    count, so ranking ~10^2..10^5 strings then radix-sorting ~10^6..10^8
-    ints beats a full string sort of every run row. The output term
-    order is byte-ascending, identical to the previous arrow string
-    sort (tokens are [a-z0-9], and UTF-8 byte order equals code-point
-    order regardless).
+    Rows must arrive with ords increasing within each term. The build
+    delivers them that way: each chunk is (shard, term, ord)-sorted,
+    chunks follow ordinal order inside a run file, run files
+    (``part=K``) are contiguous ordinal ranges scanned in part order,
+    and filters keep row order. So only the terms need ordering: the
+    term column is dictionary-encoded once, the vocabulary ranked by
+    ``pc.sort_indices`` (UTF-8 byte order, which equals code-point
+    order), and the rows put in rank order by ONE stable integer
+    argsort that keeps the arrival (= ord) order inside each term. A
+    broken arrival order is not silently re-sorted: the codec's
+    strictly-increasing check raises ``ValueError``.
     """
     if runs.num_rows == 0:
         return SEGMENT_SCHEMA.empty_table()
     term_col = runs["term"]
     if isinstance(term_col, pa.ChunkedArray):
-        term_col = term_col.combine_chunks()
+        term_col = term_col.combine_chunks()   # unifies chunk dictionaries
     # the build reads the term column dictionary-encoded straight from
     # parquet (dictionary pages), so this is usually a no-op view
     enc = (term_col if pa.types.is_dictionary(term_col.type)
            else term_col.dictionary_encode())
-    vocab = enc.dictionary.to_numpy(zero_copy_only=False)
-    dict_idx = enc.indices.to_numpy(zero_copy_only=False)
-    doc_ids = runs["ord"].to_numpy(zero_copy_only=False)
-    tfs = runs["tf"].to_numpy(zero_copy_only=False)
-
-    vocab_order = np.argsort(vocab)                 # term-string rank, small
-    rank = np.empty(len(vocab), dtype=np.int64)
-    rank[vocab_order] = np.arange(len(vocab))
-    kd = rank[dict_idx]
-    order = np.lexsort((doc_ids, kd))               # integer-key row sort
-    keys = kd[order]
-    doc_ids = np.ascontiguousarray(doc_ids[order])
-    tfs = np.ascontiguousarray(tfs[order])
+    vocab_order = pc.sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(vocab_order), dtype=np.int64)
+    rank[vocab_order] = np.arange(len(vocab_order))
+    keys = rank[enc.indices.to_numpy(zero_copy_only=False)]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    doc_ids = runs["ord"].to_numpy()[order]
+    tfs = runs["tf"].to_numpy()[order]
 
     change = np.nonzero(keys[1:] != keys[:-1])[0] + 1
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change, [len(keys)]))
-    sorted_vocab = vocab[vocab_order]
+    terms = enc.dictionary.take(vocab_order[keys[starts]])
 
-    return segment_table(sorted_vocab[keys[starts]], doc_ids, tfs, starts,
-                         ends, block_size)
+    return segment_table(terms, doc_ids, tfs, starts, ends, block_size)
 
 
 def segment_table(terms, doc_ids: np.ndarray, tfs: np.ndarray,

@@ -252,3 +252,52 @@ def test_rollover_writer_resumes_counter_over_existing_root(
     assert sorted(d.tolist()) == list(range(100, 106))
     d, _ = QueryEngine(g1[-1]["index_dir"]).topk("alpha", 10)
     assert sorted(d.tolist()) == list(range(6))
+
+
+def test_rollover_gens_concurrent_callers_share_one_lifecycle(
+        ray_session, tmp_path, monkeypatch):
+    """Two threads that run the driver's rollover lifecycle at once get
+    the same generations, and the cache root holds only those: the
+    marker check and the build are one locked section, so the second
+    caller reads the first one's lifecycle instead of appending to it."""
+    import glob
+    import threading
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from snowplow_elasticsearch_loader_ray import driver_queries as DQ
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    n = 3 * DQ.ROLLOVER_BATCH
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array([f"alpha beta doc{i}" for i in range(n)], pa.string()),
+    }), str(sf / "documents.parquet"))
+    monkeypatch.setattr(DQ, "CACHE_ROOT", str(tmp_path / "cache"))
+
+    start = threading.Barrier(2)
+    results, errors = [None, None], []
+
+    def run(i: int) -> None:
+        try:
+            start.wait()
+            results[i] = DQ._rollover_gens(str(sf))
+        except Exception as e:      # surfaced by the assert below
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+    assert not any(t.is_alive() for t in threads), "rollover callers hung"
+    assert not errors, errors
+    assert results[0] == results[1]
+    gens = results[0]
+    assert sum(g["n_docs"] for g in gens) == n
+    roots = glob.glob(str(tmp_path / "cache" / "*" / "rollover"))
+    assert len(roots) == 1
+    assert sorted(os.path.basename(d) for d in glob.glob(
+        os.path.join(roots[0], "docs-*"))) == [g["name"] for g in gens]

@@ -66,6 +66,22 @@ def test_kill_and_resume_equals_clean_run(docs_dir, tmp_path_factory):
     assert seg_r == seg_c, "resumed and clean segments must be byte-identical"
 
 
+def test_resume_refuses_older_run_format(docs_dir, tmp_path_factory):
+    """A part committed under an older run format (format 2 wrote its
+    rows through an order-free block write, so phase 2 cannot rely on
+    their ordinal order) is refused on resume, not spliced in."""
+    idx = str(tmp_path_factory.mktemp("fmt") / "idx")
+    fail_cfg = IndexConfig(max_record_bytes=100_000, num_term_shards=8,
+                           batch_size=200, fail_after_parts=1)
+    with pytest.raises(B.SimulatedFailure):
+        B.build_index(docs_dir, idx, fail_cfg)
+    man_dir = os.path.join(idx, "manifests")
+    old = mf.load(man_dir, "runs-part-0000")
+    mf.commit(man_dir, "runs-part-0000", {**old, "format": 2})
+    with pytest.raises(RuntimeError, match="run format 2"):
+        B.build_index(docs_dir, idx, CFG)
+
+
 def test_partial_segment_resume(docs_dir, tmp_path_factory):
     # delete one committed segment manifest → only that shard re-encodes
     out = tmp_path_factory.mktemp("idx2")
