@@ -21,6 +21,27 @@ Package layout
 
 __version__ = "0.1.0"
 
+# Ray Data's path resolution probes `fsspec.implementations.http` on
+# every read/write call; without aiohttp that import raises, and when
+# two threads race the probe the half-initialized module surfaces as a
+# bare ImportError that Ray's ModuleNotFoundError handler misses. The
+# pipelines call read_parquet/write_parquet, and a caller may drive
+# several of them from threads at once. Wrap the probe so that is safe:
+# no-http-filesystem is the correct answer either way.
+from ray.data.datasource import path_util as _ray_path_util  # noqa: E402
+
+_orig_is_http = _ray_path_util._is_http_filesystem
+
+
+def _is_http_filesystem_safe(fs):  # pragma: no cover - exercised via threads
+    try:
+        return _orig_is_http(fs)
+    except ImportError:
+        return False
+
+
+_ray_path_util._is_http_filesystem = _is_http_filesystem_safe
+
 from .config import DedupConfig, IndexConfig  # noqa: E402,F401
 from .pipelines.build import (  # noqa: E402,F401
     build_index, index_metrics, index_stats, ingest_pages,

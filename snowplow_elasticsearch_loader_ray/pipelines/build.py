@@ -19,23 +19,24 @@ counters. No stage starts a Ray Data execution.
    cluster. Note ``text`` is NOT read — the engine re-derives it from
    ``html`` (byte-identity invariant).
 
-2. **phase 1 — runs**: one task per resume part (a contiguous slice of
-   the sorted doc files) tokenizes its files
+2. **phase 1 — runs**: one task per input file tokenizes it
    (``TokenizeFilePostings`` — each doc gets its dense corpus ORDINAL,
    see stages/postings.py), streams the shard-sorted chunks into one
-   run file with small row groups → atomic rename, and writes
-   ``docmap/part-K.parquet`` (ord → doc_id, doclen, lang; a contiguous
-   ordinal range per part) from the chunks' docmap rows held in
-   memory. The driver commits each part's manifest as its task
-   finishes. The shard-clustered row-group layout IS the term-shard
-   exchange, materialized to storage instead of held in the object
-   store: at 100 TB the shuffle spills by construction, a killed job
-   resumes at partition granularity (the KCL-checkpoint analogue,
-   SURVEY.md C1), and the file count stays at one per part (not
-   parts × shards).
+   run file with small row groups under its resume part's tmp dir, and
+   returns the chunks' docmap rows held in memory. Parts (contiguous
+   slices of the sorted doc files) are the resume unit, files the
+   parallelism unit: when a part's last file task finishes, the driver
+   renames its tmp dir, writes ``docmap/part-K.parquet`` (ord → doc_id,
+   doclen, lang; a contiguous ordinal range per part) and commits the
+   part's manifest. The shard-clustered row-group layout IS the
+   term-shard exchange, materialized to storage instead of held in the
+   object store: at 100 TB the shuffle spills by construction, a killed
+   job resumes at partition granularity (the KCL-checkpoint analogue,
+   SURVEY.md C1), and the file count stays at one per input file (not
+   files × shards).
 
 3. **phase 2 — segments**: one Ray task per contiguous shard group
-   reads ``runs/part=*/*.parquet`` with a shard-range filter (row-group
+   reads the run files, in ordinal order, with a shard-range filter (row-group
    statistics prune to the group's share of each file), orders each
    shard's rows by term (ords already arrive ascending within a term),
    delta/FOR-encodes posting blocks with block-max metadata and
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import shutil
 import time
 
@@ -63,28 +65,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-
-# Ray Data's path resolution probes `fsspec.implementations.http` on
-# every read/write call; without aiohttp that import raises, and when
-# two threads race the probe the half-initialized module surfaces as a
-# bare ImportError that Ray's ModuleNotFoundError handler misses. The
-# build no longer runs Ray Data, but the package's other pipelines do,
-# and a caller may drive several of them from threads at once. Wrap the
-# probe so that is safe: no-http-filesystem is the correct answer
-# either way.
-from ray.data.datasource import path_util as _ray_path_util
-
-_orig_is_http = _ray_path_util._is_http_filesystem
-
-
-def _is_http_filesystem_safe(fs):  # pragma: no cover - exercised via threads
-    try:
-        return _orig_is_http(fs)
-    except ImportError:
-        return False
-
-
-_ray_path_util._is_http_filesystem = _is_http_filesystem_safe
 
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
 from ..stages.extract import ExtractTransform
@@ -223,9 +203,9 @@ def good_docs_dir(ingest_out_dir: str) -> str:
 
 #: run-part on-disk format version. 2 = ordinal run rows + per-part
 #: docmap extraction + CONTIGUOUS _plan_parts grouping. 3 = one run
-#: file per part whose rows keep the chunks' ordinal order, which phase
-#: 2 relies on (format-2 parts were written through an order-free
-#: block write). Bump whenever the part layout or row schema changes:
+#: file per input file, named in file order, whose rows keep the
+#: chunks' ordinal order, which phase 2 relies on (format-2 parts were
+#: written through an order-free block write). Bump whenever the part layout or row schema changes:
 #: resume compares it (and the exact file grouping) against committed
 #: manifests and REFUSES a mixed index instead of silently skipping
 #: old-format parts.
@@ -281,48 +261,81 @@ def _ordinal_bases(doc_files: list[str]) -> dict[str, int]:
     return bases
 
 
-def _build_part(k: int, files_k: list[str], bases_k: list[int],
-                index_dir: str, cfg: IndexConfig,
-                keep: list[pa.Table] | None = None) -> dict:
-    """Phase-1 part K in the calling process → its ``runs-part-K``
-    manifest payload (the caller commits it).
+def _part_name(k: int) -> str:
+    return f"part={k:04d}"
 
-    Tokenizes the part's files, streams the chunks into one run file
-    (one row group per ``run_row_group_size`` rows of a chunk: each
-    chunk is sorted by shard, so the row groups stay shard-clustered
-    and phase 2 prunes to its shards via row-group statistics), then
-    writes ``docmap/part-K.parquet`` from the chunks' docmap rows
-    (``shard == -1``) kept in memory — the run file is never read back.
-    ``keep`` (the inline build) collects the chunks for an in-memory
-    phase 2."""
-    t0 = time.time()
+
+def _run_files(index_dir: str) -> list[str]:
+    """Committed run files in ORDINAL order: by the integer part number,
+    then the file's index in the part. Phase 2 relies on this order
+    (``encode_shard_table``), and path-string order breaks it at 10^4
+    parts (``part=10000`` sorts before ``part=9999``)."""
     runs_dir = os.path.join(index_dir, "runs")
-    final = os.path.join(runs_dir, f"part={k:04d}")
-    tmp = os.path.join(runs_dir, f"_tmp_part={k:04d}")
+    files = glob.glob(os.path.join(runs_dir, "part=*", "*.parquet"))
+    return sorted(files, key=lambda f: [
+        int(n) for n in re.findall(r"\d+", os.path.relpath(f, runs_dir))])
+
+
+def _open_part(index_dir: str, k: int, n_files: int) -> list[str]:
+    """Clear part K's uncommitted leftovers → the paths of its run files
+    (one per input file, under the part's tmp dir)."""
+    runs_dir = os.path.join(index_dir, "runs")
+    tmp = os.path.join(runs_dir, "_tmp_" + _part_name(k))
     shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(final, ignore_errors=True)  # uncommitted leftovers
+    shutil.rmtree(os.path.join(runs_dir, _part_name(k)), ignore_errors=True)
     os.makedirs(tmp)
-    items = pa.table({"path": files_k, "base": bases_k})
+    return [os.path.join(tmp, f"run-{i:05d}.parquet") for i in range(n_files)]
+
+
+def _tokenize_file(path: str, base: int, run_path: str, cfg: IndexConfig,
+                   keep: list[pa.Table] | None = None) -> tuple[pa.Table, int]:
+    """Phase 1 for one input file → (its docmap rows, its run row count).
+
+    Streams the file's chunks into the run file at ``run_path`` (one row
+    group per ``run_row_group_size`` rows of a chunk: each chunk is
+    sorted by shard, so the row groups stay shard-clustered and phase 2
+    prunes to its shards via row-group statistics) and keeps the chunks'
+    docmap rows (``shard == -1``) in memory, so the run file is never
+    read back. ``keep`` (the inline build) collects the chunks for an
+    in-memory phase 2. A retry rewrites the same file."""
     run_rows = 0
-    docmap_rows = [RUN_SCHEMA.empty_table()]
-    with pq.ParquetWriter(os.path.join(tmp, "run-00000.parquet"), RUN_SCHEMA,
-                          compression="zstd") as w:
+    docmap = [DOCMAP_SCHEMA.empty_table()]
+    items = pa.table({"path": [path], "base": [base]})
+    with pq.ParquetWriter(run_path, RUN_SCHEMA, compression="zstd") as w:
         for chunk in TokenizeFilePostings(cfg)(items):
             w.write_table(chunk, row_group_size=cfg.run_row_group_size)
             run_rows += chunk.num_rows
-            docmap_rows.append(
-                chunk.filter(pc.equal(chunk["shard"], DOCMAP_SHARD)))
+            t = chunk.filter(pc.equal(chunk["shard"], DOCMAP_SHARD))
+            docmap.append(pa.table(
+                {"ord": t["ord"], "doc_id": t["doc_id"],
+                 "doclen": t["tf"].cast(pa.int64()), "lang": t["lang"]},
+                schema=DOCMAP_SCHEMA))
             if keep is not None:
                 keep.append(chunk)
-    # runs are shuffle intermediates: recompute-on-loss, not fsync
-    mf.commit_dir_rename(tmp, final, durable=False)
+    return pa.concat_tables(docmap), run_rows
 
-    # chunks come in ordinal order and each one's docmap rows have
+
+@ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
+def _tokenize_file_task(path: str, base: int, run_path: str,
+                        cfg: IndexConfig) -> tuple[pa.Table, int]:
+    return _tokenize_file(path, base, run_path, cfg)
+
+
+def _close_part(index_dir: str, k: int, files_k: list[str],
+                outs: list[tuple[pa.Table, int]], t0: float) -> dict:
+    """Commit part K's run files (tmp-dir rename), write
+    ``docmap/part-K.parquet`` from its files' docmap rows (``outs`` in
+    file order) → the ``runs-part-K`` manifest payload (the caller
+    commits it)."""
+    runs_dir = os.path.join(index_dir, "runs")
+    final = os.path.join(runs_dir, _part_name(k))
+    # runs are shuffle intermediates: recompute-on-loss, not fsync
+    mf.commit_dir_rename(os.path.join(runs_dir, "_tmp_" + _part_name(k)),
+                         final, durable=False)
+    # files follow ordinal order and each chunk's docmap rows have
     # strictly increasing ords, so the docmap is already ord-sorted
-    t = pa.concat_tables(docmap_rows)
-    dm = pa.table({"ord": t["ord"], "doc_id": t["doc_id"],
-                   "doclen": t["tf"].cast(pa.int64()), "lang": t["lang"]},
-                  schema=DOCMAP_SCHEMA)
+    dm = pa.concat_tables([d for d, _ in outs])
+    run_rows = sum(n for _, n in outs)
     dm_dir = os.path.join(index_dir, "docmap")
     os.makedirs(dm_dir, exist_ok=True)
     dm_out = os.path.join(dm_dir, f"part-{k:04d}.parquet")
@@ -342,12 +355,6 @@ def _build_part(k: int, files_k: list[str], bases_k: list[int],
         "durable": False,          # shuffle intermediate (rerun part)
         "wall_s": round(time.time() - t0, 3),
     }
-
-
-@ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
-def _build_part_task(k: int, files_k: list[str], bases_k: list[int],
-                     index_dir: str, cfg: IndexConfig) -> dict:
-    return _build_part(k, files_k, bases_k, index_dir, cfg)
 
 
 def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
@@ -372,45 +379,54 @@ def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
 
 def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
                num_parts: int | None = None) -> None:
-    """Phase 1: one Ray task per uncommitted part, each manifest
-    committed as its task finishes. Parts are the RESUME granularity;
+    """Phase 1. Parts are the RESUME granularity, files the parallelism
+    unit: one Ray task per input file of every uncommitted part, and a
+    part's manifest commits as soon as its last file task finishes.
     ``cfg.build_concurrency`` (when set) caps the tasks in flight. With
-    the fail_after_parts test hook the parts run one at a time so the
+    the fail_after_parts test hook the tasks run one at a time so the
     commit count at failure is deterministic."""
     man_dir = os.path.join(index_dir, "manifests")
     os.makedirs(os.path.join(index_dir, "runs"), exist_ok=True)
     bases = _ordinal_bases(doc_files)
     parts = _plan_parts(doc_files, num_parts)
     _check_resumable_parts(man_dir, parts)
-    todo = [(k, files_k) for k, files_k in enumerate(parts)
-            if not mf.is_committed(man_dir, f"runs-part-{k:04d}")]
-
-    def submit(k: int, files_k: list[str]) -> ray.ObjectRef:
-        return _build_part_task.remote(k, files_k, [bases[f] for f in files_k],
-                                       index_dir, cfg)
-
-    def commit(ref: ray.ObjectRef) -> None:
-        payload = ray.get(ref)
-        mf.commit(man_dir, f"runs-part-{payload['part']:04d}", payload)
-
-    if cfg.fail_after_parts is not None:
-        for done, (k, files_k) in enumerate(todo, start=1):
-            commit(submit(k, files_k))
-            if done >= cfg.fail_after_parts:
-                raise SimulatedFailure(f"injected failure after {done} run parts")
-        return
-    cap = cfg.build_concurrency or len(todo)
-    queue, pending, error = todo[::-1], [], None
+    todo = {k: files_k for k, files_k in enumerate(parts)
+            if not mf.is_committed(man_dir, f"runs-part-{k:04d}")}
+    queue = [(k, i) for k, files_k in todo.items()
+             for i in range(len(files_k))][::-1]
+    cap = 1 if cfg.fail_after_parts is not None else \
+        (cfg.build_concurrency or len(queue))
+    run_paths: dict[int, list[str]] = {}
+    outs = {k: [None] * len(files_k) for k, files_k in todo.items()}
+    left = {k: len(files_k) for k, files_k in todo.items()}
+    started: dict[int, float] = {}
+    pending: dict[ray.ObjectRef, tuple[int, int]] = {}
+    committed, error = 0, None
     while queue or pending:
         while queue and len(pending) < cap:
-            pending.append(submit(*queue.pop()))
-        [ref], pending = ray.wait(pending, num_returns=1)
+            k, i = queue.pop()
+            if k not in run_paths:
+                started[k] = time.time()
+                run_paths[k] = _open_part(index_dir, k, len(todo[k]))
+            f = todo[k][i]
+            pending[_tokenize_file_task.remote(
+                f, bases[f], run_paths[k][i], cfg)] = (k, i)
+        [ref], _ = ray.wait(list(pending), num_returns=1)
+        k, i = pending.pop(ref)
         try:
-            commit(ref)
+            outs[k][i] = ray.get(ref)
+            left[k] -= 1
+            if left[k] == 0:
+                mf.commit(man_dir, f"runs-part-{k:04d}", _close_part(
+                    index_dir, k, todo[k], outs.pop(k), started[k]))
+                committed += 1
         except Exception as e:
-            # submit no more parts, but commit the ones already running
-            # so a resume redoes as little as possible
+            # submit no more tasks, but let the running ones finish and
+            # commit their parts so a resume redoes as little as possible
             error, queue = error or e, []
+            continue
+        if committed == cfg.fail_after_parts:     # cap 1: nothing in flight
+            raise SimulatedFailure(f"injected failure after {committed} run parts")
     if error is not None:
         raise error
 
@@ -538,8 +554,7 @@ def _encode_shard_group(index_dir: str, shards: list[int],
             os.remove(fault)
             raise OSError(f"injected transient failure for shard {shard}")
 
-    files = sorted(glob.glob(os.path.join(index_dir, "runs", "part=*",
-                                          "*.parquet")))
+    files = _run_files(index_dir)
     if not files and mf.load_all(os.path.join(index_dir, "manifests"),
                                  prefix="runs-part-"):
         # committed run parts but no run files: runs were GC'd after the
@@ -648,14 +663,15 @@ def _build_index_inline(files: list[str], index_dir: str,
                         cfg: IndexConfig) -> None:
     """Both phases in the calling process, for corpora at or below
     ``cfg.inline_build_max_docs`` (an NRT delta generation, a unit-test
-    fixture). Runs the distributed path's part body (``_build_part``,
-    under the default per-file grouping) and segment writer, so the
-    artifacts and manifest payloads are EXACTLY the distributed
-    path's, and a build that crashes here resumes under either path
-    and vice versa. Phase 2 encodes the rows the parts just produced,
-    from memory. The point is latency: a refresh-interval delta is a
-    few thousand docs, and scheduling even a handful of Ray tasks per
-    stage would dominate the stream→searchable SLO
+    fixture). Runs the distributed path's part body (``_open_part`` →
+    ``_tokenize_file`` → ``_close_part``, under the default per-file
+    grouping) and segment writer, so the artifacts and manifest
+    payloads are EXACTLY the distributed path's, and a build that
+    crashes here resumes under either path and vice versa. Phase 2
+    encodes the rows the parts just produced, from memory. The point is
+    latency: a refresh-interval delta is a few thousand docs, and
+    scheduling even a handful of Ray tasks per stage would dominate the
+    stream→searchable SLO
     (``ElasticsearchSink.scala:81-198`` loads a micro-batch
     synchronously for the same reason; Lucene's refresh flushes the
     in-memory segment in-process)."""
@@ -673,7 +689,7 @@ def _build_index_inline(files: list[str], index_dir: str,
     for k, files_k in enumerate(parts):
         if mf.is_committed(man_dir, f"runs-part-{k:04d}"):
             # committed by a prior run: read its rows back
-            fs = sorted(glob.glob(os.path.join(runs_dir, f"part={k:04d}",
+            fs = sorted(glob.glob(os.path.join(runs_dir, _part_name(k),
                                                "*.parquet")))
             if not fs:
                 # same recovery contract as _encode_shard_group: committed
@@ -684,15 +700,16 @@ def _build_index_inline(files: list[str], index_dir: str,
                     "call build_index again)")
             rows.append(pads.dataset(fs).to_table(columns=cols))
             continue
-        chunks: list[pa.Table] = []
+        t0, chunks = time.time(), []
+        outs = [_tokenize_file(f, bases[f], run_path, cfg, keep=chunks)
+                for f, run_path in zip(files_k, _open_part(index_dir, k,
+                                                           len(files_k)))]
         mf.commit(man_dir, f"runs-part-{k:04d}",
-                  _build_part(k, files_k, [bases[f] for f in files_k],
-                              index_dir, cfg, keep=chunks))
+                  _close_part(index_dir, k, files_k, outs, t0))
         rows += [c.select(cols) for c in chunks]
 
     full = pa.concat_tables(rows)
-    run_files = sorted(glob.glob(os.path.join(runs_dir, "part=*",
-                                              "*.parquet")))
+    run_files = _run_files(index_dir)
     shard_col = full["shard"]
     for shard in range(cfg.num_term_shards):
         if mf.is_committed(man_dir, f"segment-shard-{shard:04d}"):

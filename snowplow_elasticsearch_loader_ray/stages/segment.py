@@ -43,9 +43,9 @@ def encode_shard_table(runs: pa.Table, block_size: int = 128) -> pa.Table:
 
     Rows must arrive with ords increasing within each term. The build
     delivers them that way: each chunk is (shard, term, ord)-sorted,
-    chunks follow ordinal order inside a run file, run files
-    (``part=K``) are contiguous ordinal ranges scanned in part order,
-    and filters keep row order. So only the terms need ordering: the
+    chunks follow ordinal order inside a run file, run files are
+    contiguous ordinal ranges scanned in ordinal order (integer part
+    number, then file index), and filters keep row order. So only the terms need ordering: the
     term column is dictionary-encoded once, the vocabulary ranked by
     ``pc.sort_indices`` (UTF-8 byte order, which equals code-point
     order), and the rows put in rank order by ONE stable integer

@@ -82,6 +82,64 @@ def test_resume_refuses_older_run_format(docs_dir, tmp_path_factory):
         B.build_index(docs_dir, idx, CFG)
 
 
+def _segment_hashes(index_dir):
+    return {n: m["content_hash"] for n, m in mf.load_all(
+        os.path.join(index_dir, "manifests"), "segment-shard-").items()}
+
+
+def test_multi_file_parts_run_per_file_and_resume(docs_dir, tmp_path_factory):
+    """Parts of several files: one run file per input file, the killed
+    build commits exactly the parts it reported, and the resumed index
+    equals the per-file-grouped default build (segments and docmap)."""
+    import numpy as np
+
+    out = tmp_path_factory.mktemp("multi")
+    n_files = len(glob.glob(os.path.join(docs_dir, "*.parquet")))
+    idx, clean = str(out / "idx"), str(out / "clean")
+    fail_cfg = IndexConfig(max_record_bytes=100_000, num_term_shards=8,
+                           batch_size=200, fail_after_parts=1)
+    with pytest.raises(B.SimulatedFailure):
+        B.build_index(docs_dir, idx, fail_cfg, num_parts=2)
+    man_dir = os.path.join(idx, "manifests")
+    assert list(mf.load_all(man_dir, "runs-part-")) == ["runs-part-0000"]
+    B.build_index(docs_dir, idx, CFG, num_parts=2)
+    runs = [os.path.relpath(f, os.path.join(idx, "runs")) for f in B._run_files(idx)]
+    assert len(runs) == n_files
+    assert runs[:2] == ["part=0000/run-00000.parquet", "part=0000/run-00001.parquet"]
+
+    B.build_index(docs_dir, clean, CFG)
+    assert _segment_hashes(idx) == _segment_hashes(clean)
+    for a, b in zip(B.load_docmap(idx), B.load_docmap(clean)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_run_files_sort_by_part_number(tmp_path):
+    runs = tmp_path / "runs"
+    names = ["part=10000/run-00000.parquet", "part=9999/run-00001.parquet",
+             "part=9999/run-00000.parquet", "part=0002/run-00000.parquet"]
+    for rel in names:
+        (runs / rel).parent.mkdir(parents=True, exist_ok=True)
+        (runs / rel).touch()
+    got = [os.path.relpath(f, runs) for f in B._run_files(str(tmp_path))]
+    assert got == ["part=0002/run-00000.parquet", "part=9999/run-00000.parquet",
+                   "part=9999/run-00001.parquet", "part=10000/run-00000.parquet"]
+
+
+def test_part_names_out_of_string_order(docs_dir, tmp_path_factory, monkeypatch):
+    """Phase 2 needs the run files in ordinal order. Part names whose
+    string order differs from their number order (part=9 sorts after
+    part=18, as part=10000 sorts before part=9999) still build the clean
+    index instead of feeding the codec decreasing ords."""
+    out = tmp_path_factory.mktemp("names")
+    idx, clean = str(out / "idx"), str(out / "clean")
+    B.build_index(docs_dir, clean, CFG)
+    monkeypatch.setattr(B, "_part_name", lambda k: f"part={9 * k}")
+    n_files = len(glob.glob(os.path.join(docs_dir, "*.parquet")))
+    B.build_index(docs_dir, idx, CFG, num_parts=n_files)
+    assert os.path.isdir(os.path.join(idx, "runs", "part=18"))
+    assert _segment_hashes(idx) == _segment_hashes(clean)
+
+
 def test_partial_segment_resume(docs_dir, tmp_path_factory):
     # delete one committed segment manifest → only that shard re-encodes
     out = tmp_path_factory.mktemp("idx2")
