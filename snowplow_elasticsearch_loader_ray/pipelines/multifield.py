@@ -267,14 +267,14 @@ class MultiFieldShardedEngine:
     lands the exact same arrays.
 
     Actor sizing: the per-field pools split the cluster's CPU budget
-    (fields × shards actors total) so two field engines never
+    (fields × ``reader_pool`` actors total) so two field engines never
     over-subscribe — on a small ``num_cpus`` two independently-sized
     pools would deadlock waiting for reservations."""
 
     def __init__(self, root: str, fields: list[str]):
         import ray
 
-        from .servecache import reader_cpus
+        from .servecache import reader_cpus, reader_pool
         from .sharded_query import ShardedQueryEngine
 
         avail = ray.cluster_resources().get("CPU", 1.0)
@@ -284,7 +284,8 @@ class MultiFieldShardedEngine:
             from .build import index_stats
 
             shards = int(index_stats(d)["num_term_shards"])
-            cpus = reader_cpus(len(fields) * shards, avail)
+            pool = len(reader_pool(shards, avail)[0])
+            cpus = reader_cpus(len(fields) * pool, avail)
             self.engines[f] = ShardedQueryEngine(d, cpus_per_reader=cpus)
 
     def multi_match(self, query: str, fields: list[str],
@@ -304,7 +305,6 @@ class MultiFieldShardedEngine:
         field order, idf/saturation over combined dl/avgdl on the
         coordinator — identical arithmetic to the single-process
         ``combined_fields_scores``."""
-        from ..tokenizer import term_shard_one
         from .query import tokenize_query
 
         fb = parse_field_boosts(fields)
@@ -333,19 +333,8 @@ class MultiFieldShardedEngine:
         terms = tokenize_query(query)
         per_field: dict[str, dict] = {}
         for name, _b in fb:                    # one scatter per field
-            e = self.engines[name]
-            by_shard: dict[int, list[str]] = {}
-            for t in terms:
-                by_shard.setdefault(
-                    term_shard_one(t, e.num_shards), []).append(t)
-            import ray
-
-            refs = [e.readers[s].tf_partials.remote(ts)
-                    for s, ts in sorted(by_shard.items())]
-            got: dict = {}
-            for part in ray.get(refs):
-                got.update(part)
-            per_field[name] = got
+            per_field[name] = self.engines[name]._scatter_raw(
+                "tf_partials", terms)
 
         score_acc = np.zeros(n_docs, dtype=np.float64)
         matched = False

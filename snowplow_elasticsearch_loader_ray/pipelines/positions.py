@@ -47,7 +47,7 @@ from ..config import IndexConfig, DEFAULT_CONFIG
 from ..state import manifest as mf
 from ..tokenizer import term_shard_one, tokenize_to_terms
 from .build import _input_files
-from .servecache import reader_cpus
+from .servecache import group_by_reader, reader_pool
 
 POSITIONS_SCHEMA = pa.schema([
     ("term", pa.string()),
@@ -313,21 +313,26 @@ class PositionalReader:
 
 
 # same restart story as the BM25 ShardReader (sharded_query.py): the
-# actor is a stateless view over the committed positional shard, so a
+# actor is a stateless view over the committed positional shards, so a
 # crash restarts it and the in-flight fetch re-executes.
 @ray.remote(num_cpus=1, max_restarts=2, max_task_retries=2)
 class PosShardReader:
-    """One positional term shard; serves batched per-term position
-    fetches as compact flat arrays (docs, offsets, flat_positions) —
-    ~12 B/posting on the wire, no Python list-of-arrays pickling."""
+    """Some positional term shards (``shards`` of ``num_shards``);
+    serves batched per-term position fetches as compact flat arrays
+    (docs, offsets, flat_positions) — ~12 B/posting on the wire, no
+    Python list-of-arrays pickling."""
 
-    def __init__(self, pos_dir: str, shard: int):
-        self.path = os.path.join(pos_dir, "positions",
-                                 f"shard-{shard:04d}.parquet")
+    def __init__(self, pos_dir: str, shards: list[int], num_shards: int):
+        self.num_shards = num_shards
+        self.paths = {s: os.path.join(pos_dir, "positions",
+                                      f"shard-{s:04d}.parquet")
+                      for s in shards}
 
     def term_positions(self, terms: list[str]
                        ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return {t: _read_term_rows(self.path, t) for t in terms}
+        return {t: _read_term_rows(
+                    self.paths[term_shard_one(t, self.num_shards)], t)
+                for t in terms}
 
 
 class ShardedPositionalEngine:
@@ -335,12 +340,14 @@ class ShardedPositionalEngine:
     ``PositionalReader`` (same ``term_positions`` / ``doc_ids``
     surface, so ``phrase_search`` runs unchanged on either).
 
-    A phrase query's distinct terms scatter in ONE round to the shard
+    A phrase query's distinct terms scatter in ONE round to the reader
     actors that own them (``term_shard_one`` routing, identical to the
-    build); each shard returns its terms' (docs, offsets, flat) arrays;
-    intersection + adjacency run on the gathered arrays exactly as the
-    single reader would — results are bit-identical because the decode
-    helper (``_read_term_rows``) is the same code in both paths.
+    build, then shard ``s`` → actor ``s % n`` of the
+    ``servecache.reader_pool``); each actor returns its terms' (docs,
+    offsets, flat) arrays; intersection + adjacency run on the gathered
+    arrays exactly as the single reader would — results are
+    bit-identical because the decode helper (``_read_term_rows``) is
+    the same code in both paths.
 
     Partitioning assumptions (custom-op rule): a term's full position
     postings live in one shard file; the driver holds the ordinal→id
@@ -355,12 +362,14 @@ class ShardedPositionalEngine:
             os.path.join(pos_dir, "docmap", "part-*.parquet"))),
             columns=["doc_id"])
         self.doc_ids = dm["doc_id"].to_numpy()
+        groups, share = reader_pool(
+            self.num_shards, ray.cluster_resources().get("CPU", 1.0))
         if cpus_per_reader is None:
-            cpus_per_reader = reader_cpus(
-                self.num_shards, ray.cluster_resources().get("CPU", 1.0))
+            cpus_per_reader = share
         self.readers = [
-            PosShardReader.options(num_cpus=cpus_per_reader).remote(pos_dir, s)
-            for s in range(self.num_shards)
+            PosShardReader.options(num_cpus=cpus_per_reader).remote(
+                pos_dir, shards, self.num_shards)
+            for shards in groups
         ]
         self._cache: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
 
@@ -368,12 +377,9 @@ class ShardedPositionalEngine:
                             ) -> dict[str, tuple[np.ndarray, list[np.ndarray]]]:
         unknown = [t for t in terms if t not in self._cache]
         if unknown:
-            by_shard: dict[int, list[str]] = {}
-            for t in unknown:
-                by_shard.setdefault(term_shard_one(t, self.num_shards),
-                                    []).append(t)
-            refs = [self.readers[s].term_positions.remote(ts)
-                    for s, ts in sorted(by_shard.items())]
+            refs = [self.readers[a].term_positions.remote(ts)
+                    for a, ts in group_by_reader(unknown, self.num_shards,
+                                                 len(self.readers))]
             for part in ray.get(refs):
                 for t, rows in part.items():
                     self._cache[t] = _split_lists(rows)

@@ -15,6 +15,8 @@ import os
 from collections import OrderedDict
 from typing import Callable, Generic, TypeVar
 
+from ..tokenizer import term_shard_one
+
 V = TypeVar("V")
 
 
@@ -59,6 +61,35 @@ def reader_cpus(n_readers: int, cluster_cpus: float) -> float:
     above ``0.8 × CPUs / readers`` is not — the actors past the
     cluster's CPUs would never schedule and their queries would hang."""
     return min(1.0, 0.8 * max(1.0, cluster_cpus) / max(1, n_readers))
+
+
+def reader_pool(num_shards: int, cluster_cpus: float
+                ) -> tuple[list[list[int]], float]:
+    """Shard groups and per-actor CPU share of a term-shard reader pool.
+
+    One actor per CPU, never more than one per shard: ``n = min(shards,
+    CPUs)`` actors, actor ``a`` owning shards ``a, a+n, …`` — so shard
+    ``s`` (and every term routed to it) lives on actor ``s % n``. A
+    reader actor costs a worker process start (an interpreter plus the
+    package import, and Ray starts them one at a time) while loading a
+    shard costs milliseconds, so on a cluster smaller than the shard
+    count one process serves several shards. With CPUs ≥ shards this is
+    one actor per shard."""
+    n = max(1, min(num_shards, int(cluster_cpus)))
+    return ([list(range(a, num_shards, n)) for a in range(n)],
+            reader_cpus(n, cluster_cpus))
+
+
+def group_by_reader(terms, num_shards: int, n_readers: int
+                    ) -> list[tuple[int, list[str]]]:
+    """Terms grouped by the ``reader_pool`` actor that owns them (term
+    shard ``s`` lives on actor ``s % n_readers``), in actor order — one
+    RPC per actor a request touches."""
+    by: dict[int, list[str]] = {}
+    for t in terms:
+        by.setdefault(term_shard_one(t, num_shards) % n_readers,
+                      []).append(t)
+    return sorted(by.items())
 
 
 def dense_combine_into(acc, terms, slices_by_term):

@@ -1,11 +1,14 @@
-"""Scatter-gather BM25 serving over term-shard reader actors.
+"""Scatter-gather BM25 serving over a pool of term-shard reader actors.
 
 The scale path for query serving (the single-process ``IndexReader``
-notes this design in its docstring): each shard actor loads ONLY its
-segment file's postings plus the (small relative to postings) global
-doclen/stats tables, a query's terms scatter to the shards that own
-them (``term_shard_one`` — the same routing the build used), each shard
-returns partial per-doc scores for its terms, and the driver combines
+notes this design in its docstring): the pool has one reader actor per
+CPU, at most one per shard (``servecache.reader_pool``); actor ``a`` of
+``n`` owns term shards ``a, a+n, …`` and loads ONLY those segment
+files' postings plus the (small relative to postings) global
+doclen/stats tables, once. A query's terms scatter to the actors that
+own them (``servecache.group_by_reader``: the build's shard routing,
+then shard → actor), one RPC per actor touched; each actor returns
+partial per-doc scores for its terms, and the coordinator combines
 partials and ranks. Rank-identity with the single reader is guaranteed
 by summing partials in sorted-term order (each term's partial is
 computed identically) and ranking with the same
@@ -13,8 +16,10 @@ computed identically) and ranking with the same
 
 Partitioning assumptions (documented per SURVEY.md custom-op rule):
 - terms route by ``term_shard_one(term) % num_term_shards`` — identical
-  at build and query time;
-- every shard actor holds the full ordinal-indexed doclen array (the
+  at build and query time — and shards map to actors by ``shard % n``;
+  term sets are disjoint across shards, so an actor keys the postings
+  of all its shards by term in one dict;
+- every reader actor holds the full ordinal-indexed doclen array (the
   ``docmap/`` tables, ~24 B/doc total) so partial scoring is a direct
   gather; at 10^12 docs the corpus is additionally doc-partitioned and
   the docmap parts are ordinal-range files, so each
@@ -36,7 +41,6 @@ import ray
 from .. import bm25
 from ..codec import PostingList
 from ..config import DOCLEN_TERM
-from ..tokenizer import term_shard_one
 from .build import index_stats, load_docmap
 from .query import tokenize_query
 from .servecache import (
@@ -46,33 +50,40 @@ from .servecache import (
     dense_combine,
     fused_combine_rank,
     env_cap,
-    reader_cpus,
+    group_by_reader,
+    reader_pool,
 )
 
 
 # max_restarts/max_task_retries: a crashed reader actor restarts and
-# reloads its shard from the committed index, and the in-flight method
+# reloads its shards from the committed index, and the in-flight method
 # call re-executes transparently — the serving-layer analogue of the
 # reference's ES-client reconnect (readers are stateless views over
 # durable segments, so restart = reread).
 @ray.remote(num_cpus=1, max_restarts=2, max_task_retries=2)
 class ShardReader:
-    """One term shard's postings + ordinal-indexed doc lengths."""
+    """Some term shards' postings + ordinal-indexed doc lengths.
 
-    def __init__(self, index_dir: str, shard: int, num_shards: int):
+    ``shards`` are the term shards this actor owns (of ``num_shards``);
+    their segments load into one term-keyed dict, and the index stats
+    and docmap load once for all of them."""
+
+    def __init__(self, index_dir: str, shards: list[int], num_shards: int):
         st = index_stats(index_dir)
         self.n_docs = int(st["n_docs"])
         self.avgdl = float(st["avgdl"]) if st["avgdl"] else 1.0
         self.terms: dict[str, bytes] = {}
-        # own segment: this shard's term postings (zero-copy views over
-        # the segment's single Arrow data buffer)
+        # own segments: these shards' term postings (zero-copy views
+        # over each segment's single Arrow data buffer)
         from ..codec import binary_views
 
-        t = pq.read_table(os.path.join(index_dir, "segments",
-                                       f"shard-{shard:04d}.parquet"))
-        for term, buf in zip(t["term"].to_pylist(), binary_views(t["postings"])):
-            if term != DOCLEN_TERM:
-                self.terms[term] = buf
+        for shard in shards:
+            t = pq.read_table(os.path.join(index_dir, "segments",
+                                           f"shard-{shard:04d}.parquet"))
+            for term, buf in zip(t["term"].to_pylist(),
+                                 binary_views(t["postings"])):
+                if term != DOCLEN_TERM:
+                    self.terms[term] = buf
         self.doc_ids, lens = load_docmap(index_dir)
         self.dl_lens = lens.astype(np.float64)
         # hot-list cache: term → (doc ordinals, BM25 partials), both
@@ -81,16 +92,20 @@ class ShardReader:
         # a Zipf head term costs its df every query otherwise — decode
         # + weigh 10^6 postings was the sharded plane's p99 at 1M docs.
         # The serving-cache role of the reference's ES node (filesystem
-        # + query cache) — here explicit and bounded.
+        # + query cache) — here explicit and bounded. Caps are per
+        # owned shard, so the bound per shard does not depend on how
+        # many shards share the actor.
+        self._n_owned = len(shards)
         self._hot: CappedLRU = CappedLRU(
-            env_cap("GRAFT_SHARD_HOT_POSTINGS", 8_000_000),  # ≈128 MB/actor
+            self._n_owned * env_cap("GRAFT_SHARD_HOT_POSTINGS",
+                                    8_000_000),  # ≈128 MB/shard
             size_of=lambda v: len(v[0]))
         # champion lists (lazy impact ordering): per-term ranked
         # top-CHAMP_K prefix — a head term's single-term top-k ranks
         # its df-sized list ONCE, then serves O(k). See
         # servecache.champion_topk for the exactness argument.
         self._champ: CappedLRU = CappedLRU(
-            env_cap("GRAFT_SHARD_CHAMP_ROWS", 1_000_000),
+            self._n_owned * env_cap("GRAFT_SHARD_CHAMP_ROWS", 1_000_000),
             size_of=lambda v: max(1, len(v[0])))
 
     def _scored(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -135,7 +150,8 @@ class ShardReader:
         cache = getattr(self, "_hot_tf", None)
         if cache is None:
             cache = self._hot_tf = CappedLRU(
-                env_cap("GRAFT_SHARD_HOT_POSTINGS", 8_000_000),
+                self._n_owned * env_cap("GRAFT_SHARD_HOT_POSTINGS",
+                                        8_000_000),
                 size_of=lambda v: len(v[0]))
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for t in terms:
@@ -150,7 +166,8 @@ class ShardReader:
         return out
 
     def partial_scores(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """term → (doc ordinals, per-doc partial scores) for this shard."""
+        """term → (doc ordinals, per-doc partial scores) for this
+        actor's terms."""
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for t in terms:
             scored = self._scored(t)
@@ -200,7 +217,8 @@ class ShardReader:
 
 
 class ShardedQueryEngine:
-    """Scatter-gather top-k over a pool of ShardReader actors."""
+    """Scatter-gather top-k over a pool of ShardReader actors (one per
+    CPU, at most one per term shard; see ``servecache.reader_pool``)."""
 
     def __init__(self, index_dir: str, cpus_per_reader: float | None = None):
         st = index_stats(index_dir)
@@ -233,16 +251,17 @@ class ShardedQueryEngine:
         #: benches flip this off to expose the distinct-query (champion
         #: list / dense-combine) steady state under repeated traffic
         self.request_cache_enabled = True
+        # fit the pool into the current cluster (a reader is mostly
+        # waiting between queries; on a real cluster size this to
+        # cores/shards-per-node)
+        groups, share = reader_pool(
+            self.num_shards, ray.cluster_resources().get("CPU", 1.0))
         if cpus_per_reader is None:
-            # fit the pool into the current cluster (a reader is mostly
-            # waiting between queries; on a real cluster size this to
-            # cores/shards-per-node)
-            cpus_per_reader = reader_cpus(
-                self.num_shards, ray.cluster_resources().get("CPU", 1.0))
+            cpus_per_reader = share
         self.readers = [
             ShardReader.options(num_cpus=cpus_per_reader).remote(
-                index_dir, s, self.num_shards)
-            for s in range(self.num_shards)
+                index_dir, shards, self.num_shards)
+            for shards in groups
         ]
 
     def _scatter(self, method: str, terms: list[str], *args
@@ -270,11 +289,9 @@ class ShardedQueryEngine:
 
     def _scatter_raw(self, method: str, terms: list[str], *args
                      ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        by_shard: dict[int, list[str]] = {}
-        for t in terms:
-            by_shard.setdefault(term_shard_one(t, self.num_shards), []).append(t)
-        refs = [getattr(self.readers[s], method).remote(ts, *args)
-                for s, ts in sorted(by_shard.items())]
+        refs = [getattr(self.readers[a], method).remote(ts, *args)
+                for a, ts in group_by_reader(terms, self.num_shards,
+                                             len(self.readers))]
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for part in ray.get(refs):
             out.update(part)
@@ -336,10 +353,10 @@ class ShardedQueryEngine:
     def _topk_impl(self, live: list[str], metas: dict, k: int,
                    ) -> tuple[np.ndarray, np.ndarray]:
         if len(live) == 1:
-            # one term → rank on its owning shard, ship only k rows
-            t = live[0]
-            return ray.get(self.readers[
-                term_shard_one(t, self.num_shards)].topk_single.remote(t, k))
+            # one term → rank on its owning actor, ship only k rows
+            [(a, [t])] = group_by_reader(live, self.num_shards,
+                                         len(self.readers))
+            return ray.get(self.readers[a].topk_single.remote(t, k))
         ubs = {}
         for t in live:
             df, max_tf = metas[t]
@@ -484,18 +501,15 @@ class ShardedQueryEngine:
                 out[i] = (hit[0].copy(), hit[1].copy())
             else:
                 need.append(i)
-        # single-term queries rank on their owning shards in ONE batched
-        # RPC per shard (champion-cached, k rows shipped per term) —
+        # single-term queries rank on their owning actors in ONE batched
+        # RPC per actor (champion-cached, k rows shipped per term) —
         # never a df-sized partial for a fused head-term lookup
         singles = sorted({lives[i][0] for i in need if len(lives[i]) == 1})
         single_res: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         if singles:
-            by_shard: dict[int, list[str]] = {}
-            for t in singles:
-                by_shard.setdefault(
-                    term_shard_one(t, self.num_shards), []).append(t)
-            refs = [self.readers[s].topk_single_many.remote(ts, k)
-                    for s, ts in sorted(by_shard.items())]
+            refs = [self.readers[a].topk_single_many.remote(ts, k)
+                    for a, ts in group_by_reader(singles, self.num_shards,
+                                                 len(self.readers))]
             for part in ray.get(refs):
                 single_res.update(part)
         union = sorted({t for i in need if len(lives[i]) > 1

@@ -158,6 +158,52 @@ def test_sharded_positional_identity(tmp_path):
         eng.shutdown()
 
 
+def test_sharded_positional_pool_routes_every_shard(tmp_path):
+    """16 positional shards on the 4-CPU session start 4 reader actors
+    (actor a owns shards a, a+4, …); a term of every shard fetches the
+    single reader's positions and phrases match; shutdown kills each
+    actor once."""
+    import numpy as np
+    import ray
+
+    from snowplow_elasticsearch_loader_ray.pipelines.positions import (
+        ShardedPositionalEngine)
+    from snowplow_elasticsearch_loader_ray.tokenizer import term_shard_one
+
+    by_shard: dict[int, str] = {}
+    for i in range(640):
+        by_shard.setdefault(term_shard_one(f"w{i}", 16), f"w{i}")
+    words = [by_shard[s] for s in range(16)]
+    src = str(tmp_path / "docs.parquet")
+    texts = [" ".join(words[j % 16] for j in range(d, d + 2 + d % 5))
+             for d in range(24)]
+    pq.write_table(pa.table({"doc_id": pa.array(range(100, 124), pa.int64()),
+                             "text": pa.array(texts, pa.string())}), src)
+    pos_dir = str(tmp_path / "pos16")
+    build_positions(src, pos_dir, IndexConfig(num_term_shards=16))
+    r = PositionalReader(pos_dir)
+    eng = ShardedPositionalEngine(pos_dir)
+    handles = list(eng.readers)
+    try:
+        assert len(handles) == 4
+        got = eng.term_positions_many(words)
+        for t in words:
+            d1, p1 = r.term_positions(t)
+            d2, p2 = got[t]
+            assert len(d1), t
+            np.testing.assert_array_equal(d1, d2, err_msg=t)
+            assert [a.tolist() for a in p1] == [a.tolist() for a in p2], t
+        for a, b in zip(words, words[1:]):
+            np.testing.assert_array_equal(phrase_search(eng, f"{a} {b}"),
+                                          phrase_search(r, f"{a} {b}"))
+    finally:
+        eng.shutdown()
+    assert eng.readers == []
+    for h in handles:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.term_positions.remote([words[0]]), timeout=120)
+
+
 def test_proximity_search_span_near(ray_session, tmp_path):
     """span_near semantics: unordered min-gap window, ordered requires
     a before b, gaps count intervening tokens."""

@@ -204,3 +204,146 @@ def test_reader_cpus_fit_every_reader_in_the_cluster():
             share = reader_cpus(n, cpus)
             assert 0 < share <= 1.0
             assert n * share <= 0.8 * cpus + 1e-9
+
+
+def _words_per_shard(num_shards: int) -> list[str]:
+    """One made-up word routed to each term shard, in shard order."""
+    from snowplow_elasticsearch_loader_ray.tokenizer import term_shard_one
+
+    by_shard: dict[int, str] = {}
+    for i in range(40 * num_shards):
+        by_shard.setdefault(term_shard_one(f"w{i}", num_shards), f"w{i}")
+    return [by_shard[s] for s in range(num_shards)]
+
+
+@pytest.fixture(scope="module")
+def idx16(tmp_path_factory):
+    """A 16-term-shard index, more shards than the test session's 4
+    CPUs: 400 docs over a small common vocabulary, each with two words
+    from a set that covers all 16 shards, and a lang doc-value with
+    nulls."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(16)
+    common = ("the data table scan filter merge sort customer order line "
+              "value stream slow query").split()
+    words = _words_per_shard(16)
+    texts = [" ".join(rng.choice(common, size=4 + d % 7).tolist()
+                      + [words[d % 16], words[d * 7 % 16]])
+             for d in range(400)]
+    d = tmp_path_factory.mktemp("pool")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(1000, 1400), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array([("en", "de", "fr", None)[i % 4]
+                          for i in range(400)], pa.string()),
+    }), str(d / "docs.parquet"))
+    idx = str(d / "idx16")
+    B.build_index(str(d / "docs.parquet"), idx, IndexConfig(num_term_shards=16))
+    return idx
+
+
+def test_reader_pool_groups_shards_per_cpu():
+    """One actor per CPU, at most one per shard; actor a of n owns
+    shards a, a+n, …; every shard is owned exactly once, and terms
+    group onto the actor that owns their shard."""
+    from snowplow_elasticsearch_loader_ray.pipelines.servecache import (
+        group_by_reader, reader_cpus, reader_pool)
+    from snowplow_elasticsearch_loader_ray.tokenizer import term_shard_one
+
+    assert reader_pool(16, 4.0) == ([[0, 4, 8, 12], [1, 5, 9, 13],
+                                     [2, 6, 10, 14], [3, 7, 11, 15]],
+                                    reader_cpus(4, 4.0))
+    assert reader_pool(8, 32.0) == ([[s] for s in range(8)],
+                                    reader_cpus(8, 32.0))
+    assert reader_pool(16, 1.0) == ([list(range(16))], reader_cpus(1, 1.0))
+    for shards in (1, 3, 8, 16):
+        for cpus in (0.5, 1.0, 2.5, 4.0, 64.0):
+            groups, share = reader_pool(shards, cpus)
+            assert len(groups) == max(1, min(shards, int(cpus)))
+            assert sorted(s for g in groups for s in g) == list(range(shards))
+            for a, g in enumerate(groups):
+                assert all(s % len(groups) == a for s in g)
+            assert len(groups) * share <= 0.8 * max(1.0, cpus) + 1e-9
+            terms = [f"t{i}" for i in range(50)]
+            routed = group_by_reader(terms, shards, len(groups))
+            assert [a for a, _ in routed] == sorted({a for a, _ in routed})
+            assert sorted(t for _, ts in routed for t in ts) == sorted(terms)
+            for a, ts in routed:
+                assert all(term_shard_one(t, shards) in groups[a]
+                           for t in ts)
+
+
+def test_reader_pool_sixteen_shards_bit_identical(ray_session, idx16):
+    """16 shards on the 4-CPU session start 4 reader actors; a term of
+    every shard, topk, msearch, match_scores and both facets all equal
+    the single reader's answers bit for bit."""
+    from snowplow_elasticsearch_loader_ray.pipelines.query import (
+        IndexReader, _taat_scores, facet_doclen_stats, facet_lang_counts)
+
+    single = QueryEngine(idx16)
+    eng = ShardedQueryEngine(idx16)
+    try:
+        assert len(eng.readers) == 4
+        per_shard = _words_per_shard(16)
+        for q in per_shard + QUERIES + [" ".join(per_shard[:6])]:
+            d1, s1 = single.topk(q, 10)
+            d2, s2 = eng.topk(q, 10)
+            assert len(d1) or q in QUERIES, q
+            np.testing.assert_array_equal(d1, d2, err_msg=q)
+            np.testing.assert_array_equal(s1, s2, err_msg=q)
+        wave = per_shard[8:] + QUERIES + [" ".join(per_shard[::3])]
+        for q, (d1, s1), (d2, s2) in zip(
+                wave, [single.topk(q, 10) for q in wave],
+                eng.msearch(wave, 10)):
+            np.testing.assert_array_equal(d1, d2, err_msg=q)
+            np.testing.assert_array_equal(s1, s2, err_msg=q)
+        r = IndexReader(idx16)
+        for q in ["the data table", " ".join(per_shard), "zzznoterm"]:
+            i1, m1 = _taat_scores(r, q)
+            i2, m2 = eng.match_scores(q)
+            np.testing.assert_array_equal(i1, i2, err_msg=q)
+            np.testing.assert_array_equal(m1, m2, err_msg=q)
+            assert eng.facet_lang_counts(q) == facet_lang_counts(r, q)
+            assert eng.facet_doclen_stats(q) == facet_doclen_stats(r, q)
+    finally:
+        eng.shutdown()
+
+
+def test_reader_pool_actor_kill_serves_all_its_shards(ray_session, idx16):
+    """Killing one multi-shard actor restarts it with all its shards: a
+    term of each shard it owns still answers identically."""
+    import ray
+
+    single = QueryEngine(idx16)
+    eng = ShardedQueryEngine(idx16)
+    try:
+        eng.request_cache_enabled = False    # every query reaches an actor
+        per_shard = _words_per_shard(16)
+        owned = per_shard[1::4]              # shards 1, 5, 9, 13 → actor 1
+        before = [eng.topk(t, 10) for t in owned]
+        ray.kill(eng.readers[1], no_restart=False)
+        for t, (d1, s1) in zip(owned, before):
+            d2, s2 = eng.topk(t, 10)
+            assert len(d1), t
+            np.testing.assert_array_equal(d1, d2, err_msg=t)
+            np.testing.assert_array_equal(s1, s2, err_msg=t)
+            np.testing.assert_array_equal(d1, single.topk(t, 10)[0], err_msg=t)
+    finally:
+        eng.shutdown()
+
+
+def test_reader_pool_shutdown_ends_every_actor(ray_session, idx16):
+    """shutdown() kills each pool actor for good: a call on any former
+    reader raises RayActorError instead of restarting it."""
+    import ray
+
+    eng = ShardedQueryEngine(idx16)
+    handles = list(eng.readers)
+    assert ray.get([h.term_meta.remote(["the"]) for h in handles])
+    eng.shutdown()
+    assert eng.readers == []
+    for h in handles:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.term_meta.remote(["the"]), timeout=120)
