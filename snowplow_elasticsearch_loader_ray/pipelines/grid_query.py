@@ -47,6 +47,7 @@ from .servecache import (
     fused_combine_rank,
     env_cap,
     reader_cpus,
+    scores_at,
 )
 from .query import tokenize_query
 
@@ -158,15 +159,11 @@ class GridCellReader:
             if hit is None:
                 continue
             df, docs, tfs = hit
-            pos = np.searchsorted(docs, cand)
-            valid = pos < len(docs)
-            sel = np.zeros(len(cand), dtype=bool)
-            sel[valid] = docs[pos[valid]] == cand[valid]
-            j = pos[sel]
-            if len(j):
+            docs, tfs = scores_at(docs, tfs, cand)
+            if len(docs):
                 w = bm25.idf(self.n_docs, df)
-                dls = self.dl_lens[docs[j] // self.n_doc_parts]
-                out[t] = (docs[j], w * bm25.tf_weight(tfs[j], dls, self.avgdl))
+                dls = self.dl_lens[docs // self.n_doc_parts]
+                out[t] = (docs, w * bm25.tf_weight(tfs, dls, self.avgdl))
         return out
 
 
@@ -330,11 +327,7 @@ class GridQueryEngine:
                 continue
             for docs, scores in slices:         # doc-disjoint slices
                 if t in essential:
-                    pos = np.searchsorted(cand, docs)
-                    valid = pos < len(cand)
-                    sel = np.zeros(len(docs), dtype=bool)
-                    sel[valid] = cand[pos[valid]] == docs[valid]
-                    docs, scores = docs[sel], scores[sel]
+                    docs, scores = scores_at(docs, scores, cand)
                 j = np.searchsorted(cand, docs)
                 cand_scores[j] += scores
         return bm25.rank_topk(self._doc_ids[cand], cand_scores, k)

@@ -18,6 +18,14 @@ Determinism: terms are processed in sorted order in both strategies, so
 per-doc float summation order is identical; ranking is by
 ``(round(score, 7) desc, doc_id asc)`` (bm25.py).
 
+Scored lists: BM25 scorers (TAAT, MaxScore, dis_max) take each term's
+(ordinals, partials) from ``IndexReader.scored`` — the same bounded
+scored-list cache (``servecache.scored_lru``) the sharded plane's
+``ShardReader`` keeps, with the partial formula written once
+(``servecache.bm25_partials``). A term's partials are deterministic per
+index, so a cache hit is bit-identical to a fresh decode; a repeated
+head term costs a lookup instead of a decode + weigh.
+
 The ``QueryEngine`` actor holds the loaded index (term dict, doclen
 arrays, stats) — built once in ``__init__``, the stateful-actor-pool
 pattern the loader uses for its sink clients
@@ -39,6 +47,7 @@ from .. import bm25
 from ..codec import PostingList
 from ..config import DOCLEN_TERM
 from ..pipelines.build import index_stats
+from .servecache import bm25_partials, scored_list, scored_lru, scores_at
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -59,7 +68,13 @@ class IndexReader:
     scale this object would hold one term shard per reader actor (terms
     route by ``term_shard_one``) with postings mmap'd — the layout
     (per-shard segment files, ordinal-range docmap parts) is already
-    partitioned for that.
+    partitioned for that, and the sharded plane's ``ShardReader`` is
+    that actor.
+
+    Like a ``ShardReader`` that owned every shard, it keeps the
+    LRU scored-list cache (``scored``: term → ordinals + BM25 partials
+    under this index's stats), bounded at ``GRAFT_SHARD_HOT_POSTINGS``
+    decoded postings per term shard.
     """
 
     def __init__(self, index_dir: str):
@@ -70,7 +85,9 @@ class IndexReader:
         self.terms: dict[str, tuple[int, int, bytes]] = {}
         from ..codec import binary_views
 
-        for f in sorted(glob.glob(os.path.join(index_dir, "segments", "*.parquet"))):
+        segments = sorted(glob.glob(os.path.join(index_dir, "segments",
+                                                 "*.parquet")))
+        for f in segments:
             t = pq.read_table(f)
             # postings stay zero-copy views over the Arrow data buffer
             # (one buffer per segment file) — warm-up copies nothing
@@ -88,6 +105,34 @@ class IndexReader:
         self.dl_lens = lens.astype(np.float64)
         self._ext_sorted: np.ndarray | None = None
         self._ext_order: np.ndarray | None = None
+        # scored-list cache: term → (ordinals, BM25 partials) under
+        # THIS index's stats, capped per term shard (one segment file
+        # each) exactly like a pool actor that owned every shard
+        self._scored = scored_lru(len(segments))
+
+    def scored(self, term: str, pl: PostingList | None = None
+               ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The term's (ascending ordinals, BM25 partials) under this
+        index's stats, LRU-cached (``servecache.scored_lru``); None for
+        an unknown term. ``pl``: the term's posting list, when the
+        caller already holds it. Partials are deterministic per (term,
+        index), so a cached list is bit-identical to a fresh decode.
+        Scorers that use other stats (the live chain's summed
+        n_docs/avgdl) must decode ``postings`` instead."""
+        hit = self._scored.get(term)
+        if hit is not None:
+            return hit
+        if pl is None and (pl := self.postings(term)) is None:
+            return None
+        return self._scored.put(term, scored_list(self, pl))
+
+    def cached(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """``scored(term)`` if the cache holds it, else None — no decode."""
+        return self._scored.get(term)
+
+    def cache_stats(self) -> dict[str, int]:
+        """Hits, misses, evictions and size of the scored-list cache."""
+        return self._scored.stats()
 
     def ordinals_of(self, doc_ids: np.ndarray,
                     missing: str = "raise") -> np.ndarray:
@@ -194,14 +239,12 @@ def _taat_scores_ords(reader: IndexReader, query: str) -> tuple[np.ndarray, np.n
     acc = reader.acc_buffer()
     matched = False
     for t in terms:
-        pl = reader.postings(t)
-        if pl is None:
+        hit = reader.scored(t)
+        if hit is None:
             continue
         matched = True
-        docs, tfs = pl.decode_all()
-        pos = reader.positions_of(t, docs)
-        w = bm25.idf(reader.n_docs, len(docs))
-        acc[pos] += w * bm25.tf_weight(tfs, reader.dl_lens[pos], reader.avgdl)
+        docs, part = hit
+        acc[docs] += part
     if not matched:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     # BM25 partial scores are strictly positive, so nonzero == matched
@@ -222,16 +265,13 @@ def score_dismax(reader: IndexReader, query: str, k: int,
     acc_max = np.zeros_like(acc_sum)
     matched = False
     for t in terms:
-        pl = reader.postings(t)
-        if pl is None:
+        hit = reader.scored(t)
+        if hit is None:
             continue
         matched = True
-        docs, tfs = pl.decode_all()
-        pos = reader.positions_of(t, docs)
-        w = bm25.idf(reader.n_docs, len(docs))
-        s = w * bm25.tf_weight(tfs, reader.dl_lens[pos], reader.avgdl)
-        acc_sum[pos] += s
-        np.maximum.at(acc_max, pos, s)
+        docs, s = hit
+        acc_sum[docs] += s
+        np.maximum.at(acc_max, docs, s)
     if not matched:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     cand = np.nonzero(acc_sum)[0]
@@ -334,37 +374,36 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
     candidate set (docs whose partial + remaining UB can still reach
     the kth bound); (3) recompute the candidates' scores from scratch
     in SORTED-TERM order — the same float summation order as
-    ``score_taat``, so scores are bit-identical — decoding only the
-    posting blocks that contain candidates (``PostingList.decode_for``,
+    ``score_taat``, so scores are bit-identical — by intersect with the
+    term's scored list where one is at hand (processed in (1), or in
+    the reader's scored-list cache), else decoding only the posting
+    blocks that contain candidates (``PostingList.decode_for``,
     block-max skip metadata as a read pruner). Skipped work is the full
     decode + weight of every pruned head term: exactly the stopword
     lists that dominate TAAT latency at 10^6+ docs.
     """
-    terms = tokenize_query(query)
+    terms = [t for t in tokenize_query(query) if reader.df(t)]
+    if not terms:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    if len(terms) == 1:
+        # one term: no accumulator, no nonzero scan, no upper bound —
+        # the scored list ranks as is. Identical floats to score_taat
+        # (the accumulator would hold exactly these partials at exactly
+        # these docs).
+        docs, part = reader.scored(terms[0])
+        return bm25.rank_topk(reader.dl_doc_ids[docs], part, k)
     entries = []
     for t in terms:
         pl = reader.postings(t)
-        if pl is not None and pl.n:
-            idf = bm25.idf(reader.n_docs, pl.n)
-            entries.append((t, pl, idf, _term_upper_bound(reader, pl, idf)))
-    if not entries:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    if len(entries) == 1:
-        # one term: no accumulator, no nonzero scan — decode, weight,
-        # rank. Identical floats to score_taat (the accumulator would
-        # hold exactly these products at exactly these docs).
-        _t, pl, idf, _ub = entries[0]
-        docs, tfs = pl.decode_all()
-        return bm25.rank_topk(
-            reader.dl_doc_ids[docs],
-            idf * bm25.tf_weight(tfs, reader.dl_lens[docs], reader.avgdl), k)
+        entries.append((t, pl, _term_upper_bound(
+            reader, pl, bm25.idf(reader.n_docs, pl.n))))
     if min(e[1].n for e in entries) > reader.n_docs // 4:
         # every term is a head term: no selective term can bound the
         # kth above the tail's reach, so pruning cannot pay — take the
         # plain vectorized path with zero bookkeeping overhead
         return score_taat(reader, query, k)
-    entries.sort(key=lambda e: (-e[3], e[0]))       # UB desc, term asc
-    ubs = np.array([e[3] for e in entries])
+    entries.sort(key=lambda e: (-e[2], e[0]))       # UB desc, term asc
+    ubs = np.array([e[2] for e in entries])
     if len(ubs) > 1 and ubs[-1] > 0.25 * ubs[0]:
         # all terms have comparable max impact: no term can bound the
         # others out, pruning cannot pay — plain path, zero bookkeeping
@@ -381,7 +420,8 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
     pool: list[np.ndarray] = []
     attempts = 2          # failed prune attempts allowed before giving up
     cut, cand = len(entries), None
-    for i, (t, pl, idf, _ub) in enumerate(entries):
+    lists: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # phase-1 scored
+    for i, (t, pl, _ub) in enumerate(entries):
         if (attempts and i >= 1 and kth_lb > 0.0
                 and suffix[i] < kth_lb - _PRUNE_MARGIN):
             nz = np.nonzero(acc)[0]
@@ -392,9 +432,8 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
             # dense score boundary: many docs sit within the tail's
             # reach of the kth — pruning cannot pay, stop trying soon
             attempts -= 1
-        docs, tfs = pl.decode_all()
-        acc[docs] += idf * bm25.tf_weight(tfs, reader.dl_lens[docs],
-                                          reader.avgdl)
+        docs, scores = lists[t] = reader.scored(t, pl)
+        acc[docs] += scores
         # tighten the bound only when it could still unlock a prune
         # (there ARE cheaper terms left, and the current bound is too
         # weak to prune them); partials are pooled across processed
@@ -415,15 +454,21 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
         cand = np.nonzero(acc)[0]
         return bm25.rank_topk(reader.dl_doc_ids[cand], acc[cand], k)
 
-    # exact rescore in sorted-term order (score_taat's summation order)
+    # exact rescore in sorted-term order (score_taat's summation order):
+    # a list scored in phase 1 or still cached gives the candidates'
+    # partials by intersect; only a cold pruned term decodes, and only
+    # its blocks that hold candidates
     cand_scores = np.zeros(len(cand), dtype=np.float64)
-    for t, pl, idf, _ub in sorted(entries, key=lambda e: e[0]):
-        docs, tfs = pl.decode_for(cand)
+    for t, pl, _ub in sorted(entries, key=lambda e: e[0]):
+        hit = lists.get(t) or reader.cached(t)
+        if hit is not None:
+            docs, part = scores_at(*hit, cand)
+        else:
+            docs, tfs = pl.decode_for(cand)
+            part = bm25_partials(reader, pl.n, docs, tfs)
         if not len(docs):
             continue
-        j = np.searchsorted(cand, docs)
-        cand_scores[j] += idf * bm25.tf_weight(
-            tfs, reader.dl_lens[docs], reader.avgdl)
+        cand_scores[np.searchsorted(cand, docs)] += part
     keep = cand_scores > 0.0
     return bm25.rank_topk(reader.dl_doc_ids[cand[keep]], cand_scores[keep], k)
 
@@ -1486,6 +1531,10 @@ class QueryEngine:
 
     def healthy(self) -> bool:
         return self.health.healthy()
+
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        """Counters per serving cache (hits, misses, evictions, size)."""
+        return {"scored_lists": self.reader.cache_stats()}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids: list[int] = []

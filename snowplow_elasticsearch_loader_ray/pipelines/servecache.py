@@ -21,18 +21,23 @@ V = TypeVar("V")
 
 
 class CappedLRU(Generic[V]):
-    """LRU keyed by term, capped by the SUM of per-value sizes."""
+    """LRU keyed by term, capped by the SUM of per-value sizes; counts
+    its hits, misses and evictions (``stats()``)."""
 
     def __init__(self, cap: int, size_of: Callable[[V], int]):
         self._d: "OrderedDict[str, V]" = OrderedDict()
         self._cap = cap
         self._size_of = size_of
         self._total = 0
+        self.hits = self.misses = self.evictions = 0
 
     def get(self, key: str) -> V | None:
         hit = self._d.get(key)
         if hit is not None:
             self._d.move_to_end(key)
+            self.hits += 1
+        else:
+            self.misses += 1
         return hit
 
     def put(self, key: str, value: V) -> V:
@@ -44,14 +49,66 @@ class CappedLRU(Generic[V]):
         while self._total > self._cap and len(self._d) > 1:
             _, v = self._d.popitem(last=False)
             self._total -= self._size_of(v)
+            self.evictions += 1
         return value
 
     def __len__(self) -> int:
         return len(self._d)
 
+    def stats(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses,
+                "evictions": self.evictions, "entries": len(self._d),
+                "size": self._total, "cap": self._cap}
+
 
 def env_cap(var: str, default: int) -> int:
     return int(os.environ.get(var, default))
+
+
+def scored_lru(n_shards: int) -> CappedLRU:
+    """A reader's term → (doc ordinals, per-doc values) cache over
+    ``n_shards`` term shards, capped at ``GRAFT_SHARD_HOT_POSTINGS``
+    decoded postings per shard (≈128 MB/shard at the default, 16 B
+    per posting) — the bound per shard does not depend on how many
+    shards one reader holds."""
+    return CappedLRU(n_shards * env_cap("GRAFT_SHARD_HOT_POSTINGS",
+                                        8_000_000),
+                     size_of=lambda v: len(v[0]))
+
+
+def bm25_partials(reader, df: int, docs, tfs):
+    """One term's BM25 partials at ``docs`` (ordinals, with their
+    ``tfs``): ``idf(n_docs, df) × tf_weight(tf, doclen, avgdl)`` under
+    ``reader``'s ``n_docs``, ``avgdl`` and ordinal-indexed ``dl_lens``.
+    The one copy of the formula behind both readers' scored lists and
+    their candidate rescores, so every path computes the same floats."""
+    from .. import bm25
+
+    return bm25.idf(reader.n_docs, df) * bm25.tf_weight(
+        tfs, reader.dl_lens[docs], reader.avgdl)
+
+
+def scored_list(reader, pl):
+    """A posting list fully decoded and weighted: (ordinals, partials),
+    both read-only — a cache hands the same arrays to every caller."""
+    docs, tfs = pl.decode_all()
+    part = bm25_partials(reader, len(docs), docs, tfs)
+    docs.flags.writeable = part.flags.writeable = False
+    return docs, part
+
+
+def scores_at(docs, values, cand):
+    """The rows of a per-doc list (``docs`` ascending, ``values``:
+    partials or tfs) whose doc is in ``cand`` (ascending, unique): one
+    ``searchsorted`` probe per candidate — the candidate intersect of
+    every MaxScore rescore. Returns (docs, values), ascending."""
+    import numpy as np
+
+    pos = np.searchsorted(docs, cand)
+    sel = pos < len(docs)
+    sel[sel] = docs[pos[sel]] == cand[sel]
+    j = pos[sel]
+    return docs[j], values[j]
 
 
 def reader_cpus(n_readers: int, cluster_cpus: float) -> float:
@@ -261,20 +318,16 @@ class RequestCache:
     def __init__(self, cap_rows: int):
         self._lru: CappedLRU = CappedLRU(
             cap_rows, size_of=lambda v: max(1, len(v[0])))
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def key(terms: list[str], k: int) -> str:
         return f"{k}:{' '.join(terms)}"
 
     def get(self, key: str):
-        hit = self._lru.get(key)
-        if hit is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
+        return self._lru.get(key)
 
     def put(self, key: str, value):
         return self._lru.put(key, value)
+
+    def stats(self) -> dict[str, int]:
+        return self._lru.stats()

@@ -46,12 +46,16 @@ from .query import tokenize_query
 from .servecache import (
     CappedLRU,
     RequestCache,
+    bm25_partials,
     champion_topk,
     dense_combine,
     fused_combine_rank,
     env_cap,
     group_by_reader,
     reader_pool,
+    scored_list,
+    scored_lru,
+    scores_at,
 )
 
 
@@ -86,20 +90,17 @@ class ShardReader:
                     self.terms[term] = buf
         self.doc_ids, lens = load_docmap(index_dir)
         self.dl_lens = lens.astype(np.float64)
-        # hot-list cache: term → (doc ordinals, BM25 partials), both
-        # deterministic per (term, corpus) so caching cannot change a
-        # score bit. LRU capped by total decoded postings (16 B each):
-        # a Zipf head term costs its df every query otherwise — decode
-        # + weigh 10^6 postings was the sharded plane's p99 at 1M docs.
-        # The serving-cache role of the reference's ES node (filesystem
-        # + query cache) — here explicit and bounded. Caps are per
-        # owned shard, so the bound per shard does not depend on how
-        # many shards share the actor.
+        # hot-list cache: term → (doc ordinals, BM25 partials), the
+        # same scored-list cache ``IndexReader.scored`` keeps for the
+        # single reader (``servecache.scored_lru``, capped per owned
+        # shard). Both are deterministic per (term, corpus), so caching
+        # cannot change a score bit; a Zipf head term costs its df
+        # every query otherwise — decode + weigh 10^6 postings was the
+        # sharded plane's p99 at 1M docs. The serving-cache role of the
+        # reference's ES node (filesystem + query cache) — here
+        # explicit and bounded.
         self._n_owned = len(shards)
-        self._hot: CappedLRU = CappedLRU(
-            self._n_owned * env_cap("GRAFT_SHARD_HOT_POSTINGS",
-                                    8_000_000),  # ≈128 MB/shard
-            size_of=lambda v: len(v[0]))
+        self._hot: CappedLRU = scored_lru(self._n_owned)
         # champion lists (lazy impact ordering): per-term ranked
         # top-CHAMP_K prefix — a head term's single-term top-k ranks
         # its df-sized list ONCE, then serves O(k). See
@@ -115,10 +116,7 @@ class ShardReader:
         buf = self.terms.get(term)
         if buf is None:
             return None
-        docs, tfs = PostingList(buf).decode_all()
-        w = bm25.idf(self.n_docs, len(docs))
-        return self._hot.put(term, (docs, w * bm25.tf_weight(
-            tfs, self.dl_lens[docs], self.avgdl)))
+        return self._hot.put(term, scored_list(self, PostingList(buf)))
 
     def topk_single(self, term: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Single-term top-k ranked ON the shard — ships k rows instead
@@ -149,10 +147,7 @@ class ShardReader:
         statistics, not per field. LRU-cached like the scored lists."""
         cache = getattr(self, "_hot_tf", None)
         if cache is None:
-            cache = self._hot_tf = CappedLRU(
-                self._n_owned * env_cap("GRAFT_SHARD_HOT_POSTINGS",
-                                        8_000_000),
-                size_of=lambda v: len(v[0]))
+            cache = self._hot_tf = scored_lru(self._n_owned)
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for t in terms:
             hit = cache.get(t)
@@ -196,23 +191,15 @@ class ShardReader:
         for t in terms:
             hot = self._hot.get(t)
             if hot is not None:                  # already decoded+scored:
-                docs, scores = hot               # intersect beats re-decode
-                pos = np.searchsorted(docs, cand)
-                sel = pos < len(docs)
-                sel[sel] = docs[pos[sel]] == cand[sel]
-                j = pos[sel]
-                if len(j):
-                    out[t] = (docs[j], scores[j])
+                docs, scores = scores_at(*hot, cand)  # intersect, no decode
+            elif (buf := self.terms.get(t)) is not None:
+                pl = PostingList(buf)
+                docs, tfs = pl.decode_for(cand)
+                scores = bm25_partials(self, pl.n, docs, tfs)
+            else:
                 continue
-            buf = self.terms.get(t)
-            if buf is None:
-                continue
-            pl = PostingList(buf)
-            docs, tfs = pl.decode_for(cand)
             if len(docs):
-                w = bm25.idf(self.n_docs, pl.n)
-                out[t] = (docs, w * bm25.tf_weight(tfs, self.dl_lens[docs],
-                                                   self.avgdl))
+                out[t] = (docs, scores)
         return out
 
 
@@ -401,11 +388,7 @@ class ShardedQueryEngine:
                 continue
             docs, scores = hit
             if t in essential:
-                pos = np.searchsorted(cand, docs)
-                valid = pos < len(cand)
-                sel = np.zeros(len(docs), dtype=bool)
-                sel[valid] = cand[pos[valid]] == docs[valid]
-                docs, scores = docs[sel], scores[sel]
+                docs, scores = scores_at(docs, scores, cand)
             j = np.searchsorted(cand, docs)
             cand_scores[j] += scores
         return bm25.rank_topk(self._doc_ids[cand], cand_scores, k)

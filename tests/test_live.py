@@ -64,6 +64,43 @@ def test_refresh_and_append_only_score_identity(tmp_path):
         np.testing.assert_array_equal(sc1, sc2)
 
 
+def test_live_search_ignores_generation_scored_lists(tmp_path):
+    """A generation's ``IndexReader`` caches partials under ITS OWN
+    stats; the live chain scores under the chain's summed stats, so
+    after the same terms were queried through a single reader on each
+    generation, ``LiveSearcher.topk`` must still equal the union index."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from snowplow_elasticsearch_loader_ray.pipelines.build import build_index
+    from snowplow_elasticsearch_loader_ray.pipelines.query import (
+        QueryEngine, score_maxscore, score_taat)
+
+    live = LiveIndex(str(tmp_path / "live"), CFG)
+    live.refresh(_stream(tmp_path, "s1", DOCS_A))
+    live.refresh(_stream(tmp_path, "s2", DOCS_B))
+    union = DOCS_A + DOCS_B
+    ref = str(tmp_path / "union.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([d for d, _ in union], pa.int64()),
+        "text": pa.array([t for _, t in union], pa.string()),
+    }), ref)
+    build_index(ref, str(tmp_path / "merged"), CFG)
+    eng = QueryEngine(str(tmp_path / "merged"))
+    s = live.searcher()
+    queries = ["data blocks", "quick brown", "arrow streams", "shuffle"]
+    for r in s.readers:
+        for q in queries:
+            score_taat(r, q, 5)
+            score_maxscore(r, q, 5)
+        assert r.cache_stats()["entries"] > 0
+    for q in queries:
+        d1, sc1 = s.topk(q, 5)
+        d2, sc2 = eng.topk(q, 5)
+        np.testing.assert_array_equal(d1, d2)
+        np.testing.assert_array_equal(sc1, sc2)
+
+
 def test_refresh_consumes_each_batch_once(tmp_path):
     live = LiveIndex(str(tmp_path / "live"), CFG)
     sdir = _stream(tmp_path, "s1", DOCS_A)

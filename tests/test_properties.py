@@ -2,6 +2,8 @@
 no Ray needed — these exercise the numpy primitives the distributed
 ops are built from."""
 
+import os
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,3 +106,167 @@ def test_quantize_positive_and_monotone(vals):
     # floor quantization: back in (e - 1/SCALE, e]; a tiny-negative
     # input lands exactly at distance 1/SCALE, hence the closed bound
     assert np.all(np.abs(back - e[0].astype(np.float64)) <= 1.0 / KM_SCALE)
+
+
+def _random_index(root: str, seed: int) -> str:
+    """A small random corpus built in process: ``head`` in every doc, a
+    few mid terms and a Zipf tail of rare terms, so head+tail queries
+    reach MaxScore's prune path. Returns the index dir."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from snowplow_elasticsearch_loader_ray.config import IndexConfig
+    from snowplow_elasticsearch_loader_ray.pipelines.build import build_index
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 160))
+    texts = []
+    for _ in range(n):
+        words = ["head"] * int(rng.integers(1, 4))
+        words += [f"mid{m}" for m in range(5) if rng.random() < 0.4]
+        words += [f"t{int(z)}" for z in rng.zipf(1.4, int(rng.integers(0, 6)))
+                  if z < 60]
+        rng.shuffle(words)
+        texts.append(" ".join(words))
+    ids = rng.choice(10**9, size=n, replace=False).astype(np.int64)
+    pq.write_table(pa.table({"doc_id": pa.array(ids), "text": texts}),
+                   os.path.join(root, "docs.parquet"))
+    idx = os.path.join(root, "index")
+    build_index(os.path.join(root, "docs.parquet"), idx,
+                IndexConfig(num_term_shards=int(rng.integers(1, 4))))
+    return idx
+
+
+def _query_stream(seed: int, terms: list[str]) -> list[tuple[str, int]]:
+    """(query, k) requests with repeats: single terms, head + tail and
+    tail-only mixes, and an unknown term."""
+    rng = np.random.default_rng(seed + 1)
+    out: list[tuple[str, int]] = []
+    for _ in range(24):
+        if out and rng.random() < 0.3:
+            out.append(out[int(rng.integers(len(out)))])   # a repeat
+            continue
+        m = int(rng.integers(1, 6))
+        q = [f"mid{int(rng.integers(5))}" if rng.random() < 0.5
+             else str(rng.choice(terms)) for _ in range(m)]
+        if rng.random() < 0.6:
+            q.append("head")
+        if rng.random() < 0.1:
+            q.append("nosuchterm")
+        out.append((" ".join(q), int(rng.choice([1, 2, 3, 10]))))
+    return out
+
+
+def _reference_partials(reader, query: str):
+    """Cache-free TAAT written from ``decode_all``: per-doc partial
+    lists in sorted-term order (the engine's summation order)."""
+    from snowplow_elasticsearch_loader_ray import bm25
+    from snowplow_elasticsearch_loader_ray.codec import PostingList
+    from snowplow_elasticsearch_loader_ray.pipelines.query import tokenize_query
+
+    by_doc: dict[int, list[float]] = {}
+    for t in tokenize_query(query):
+        e = reader.terms.get(t)
+        if e is None:
+            continue
+        docs, tfs = PostingList(e[2]).decode_all()
+        part = bm25.idf(reader.n_docs, len(docs)) * bm25.tf_weight(
+            tfs, reader.dl_lens[docs], reader.avgdl)
+        for d, p in zip(docs.tolist(), part.tolist()):
+            by_doc.setdefault(d, []).append(p)
+    return by_doc
+
+
+def _reference_scores(reader, query: str, tie_breaker=None):
+    """(ordinals ascending, unrounded scores) of the cache-free TAAT."""
+    by_doc = _reference_partials(reader, query)
+    ords = np.array(sorted(by_doc), dtype=np.int64)
+    scores = []
+    for d in ords.tolist():
+        total = 0.0
+        for p in by_doc[d]:
+            total += p
+        if tie_breaker is not None:
+            best = max(by_doc[d])
+            total = best + tie_breaker * (total - best)
+        scores.append(total)
+    return ords, np.array(scores, dtype=np.float64)
+
+
+def _reference_topk(reader, query: str, k: int, tie_breaker=None):
+    from snowplow_elasticsearch_loader_ray import bm25
+
+    ords, scores = _reference_scores(reader, query, tie_breaker)
+    return bm25.rank_topk(reader.dl_doc_ids[ords], scores, k)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_scored_list_cache_bit_identical_to_cache_free_taat(seed):
+    """``score_taat``, ``score_maxscore`` and ``score_dismax`` through the
+    reader's scored-list cache equal a cache-free TAAT bit for bit — on a
+    cold reader, on the same reader warm after the whole stream, and on
+    a reader whose 1-posting-per-shard cap evicts on every put."""
+    import tempfile
+
+    import pytest
+
+    from snowplow_elasticsearch_loader_ray.pipelines.query import (
+        IndexReader, _taat_scores_ords, score_dismax, score_maxscore,
+        score_taat)
+
+    with tempfile.TemporaryDirectory() as root:
+        idx = _random_index(root, seed)
+        reader = IndexReader(idx)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("GRAFT_SHARD_HOT_POSTINGS", "1")
+            evicting = IndexReader(idx)
+        stream = _query_stream(seed, sorted(reader.terms))
+        for r in (reader, reader, evicting):    # cold, warm, evicting
+            for q, k in stream:
+                ords, raw = _taat_scores_ords(r, q)     # unrounded sums
+                want_ords, want_raw = _reference_scores(r, q)
+                assert ords.tolist() == want_ords.tolist(), q
+                assert raw.tolist() == want_raw.tolist(), q
+                want = _reference_topk(r, q, k)
+                for fn in (score_maxscore, score_taat):
+                    d, s = fn(r, q, k)
+                    assert d.tolist() == want[0].tolist(), (fn.__name__, q)
+                    assert s.tolist() == want[1].tolist(), (fn.__name__, q)
+                d, s = score_dismax(r, q, k, tie_breaker=0.3)
+                want = _reference_topk(r, q, k, tie_breaker=0.3)
+                assert d.tolist() == want[0].tolist(), q
+                assert s.tolist() == want[1].tolist(), q
+        assert evicting.cache_stats()["evictions"] > 0
+
+
+def test_maxscore_rescore_reads_scored_lists(tmp_path, monkeypatch):
+    """A pruned head term decodes only its candidate blocks while its
+    list is cold; once its scored list is cached, the rescore takes the
+    candidates' partials from it and decodes nothing — same answer."""
+    from snowplow_elasticsearch_loader_ray.codec import PostingList
+    from snowplow_elasticsearch_loader_ray.pipelines.query import (
+        IndexReader, score_maxscore, score_taat)
+
+    idx = _random_index(str(tmp_path), 7)
+    reader = IndexReader(idx)
+    rare = min(reader.terms, key=lambda t: (reader.terms[t][0], t))
+    q = f"head {rare}"
+    real = PostingList.decode_for
+    calls = []
+
+    def counting(self, cand):
+        calls.append(len(cand))
+        return real(self, cand)
+
+    monkeypatch.setattr(PostingList, "decode_for", counting)
+    cold = score_maxscore(reader, q, 1)
+    assert calls, "the head term was not pruned"
+    score_taat(reader, "head")              # caches head's scored list
+    calls.clear()
+    warm = score_maxscore(reader, q, 1)
+    assert not calls
+    want = _reference_topk(IndexReader(idx), q, 1)
+    for got in (cold, warm):
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
