@@ -154,6 +154,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
+    from . import _raydata  # noqa: F401 (thread-safe path probe)
+
     if not ray.is_initialized():
         ray.init(ignore_reinit_error=True, include_dashboard=False,
                  logging_level="ERROR")

@@ -37,6 +37,7 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.aggregate import Count, Max, Min
 
+from . import _raydata  # noqa: F401 (thread-safe path probe)
 from . import bm25
 from .config import IndexConfig, DedupConfig
 from .pipelines import analysis as A

@@ -24,6 +24,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .. import _raydata  # noqa: F401 (thread-safe path probe)
+
 SIM_ROUND = 9
 
 

@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Min, Sum
 
+from .. import _raydata  # noqa: F401 (thread-safe path probe)
 from .analysis import STOPWORDS
 from .dedup import content_hash64
 from ..tokenizer import tokenize_to_terms

@@ -34,6 +34,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .. import _raydata  # noqa: F401 (thread-safe path probe)
 from .dedup import distinct_shingles
 
 

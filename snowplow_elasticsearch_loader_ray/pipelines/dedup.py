@@ -26,6 +26,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Min
 
+from .. import _raydata  # noqa: F401 (thread-safe path probe)
 from ..config import DedupConfig, DEFAULT_DEDUP
 from ..tokenizer import tokenize_to_terms
 from .analysis import _hash_tokens

@@ -168,6 +168,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from .. import _raydata  # noqa: F401 (thread-safe path probe)
+
 
 class UnsupportedEsql(ValueError):
     """An ES|QL construct outside the supported grammar."""

@@ -179,7 +179,8 @@ class GridQueryEngine:
         # ordinal → external id for the final rank (see ShardedQueryEngine)
         self._doc_ids, _lens = load_docmap(index_dir)
         self._dl_min = float(_lens.min()) if len(_lens) else 1.0
-        self._meta_cache: dict[str, tuple[int, int] | None] = {}
+        # term → (df, max tf, MaxScore bound), or None for an unknown term
+        self._meta_cache: dict[str, tuple[int, int, float] | None] = {}
         self._partials: CappedLRU = CappedLRU(
             env_cap("GRAFT_COORD_HOT_POSTINGS", 16_000_000),  # ≈256 MB
             size_of=lambda v: sum(len(d) for d, _s in v))
@@ -233,7 +234,9 @@ class GridQueryEngine:
                 out.setdefault(t, []).append(ds)
         return out
 
-    def _metas(self, terms: list[str]) -> dict[str, tuple[int, int]]:
+    def _metas(self, terms: list[str]) -> dict[str, tuple[int, int, float]]:
+        """(df, max_tf maxed over a shard's cells, MaxScore bound) per
+        term, cached across queries (see ``ShardedQueryEngine._metas``)."""
         unknown = [t for t in terms if t not in self._meta_cache]
         if unknown:
             fetched: dict[str, tuple[int, int]] = {}
@@ -248,7 +251,10 @@ class GridQueryEngine:
                     prev = fetched.get(t)
                     fetched[t] = (df, max(mtf, prev[1]) if prev else mtf)
             for t in unknown:
-                self._meta_cache[t] = fetched.get(t)
+                m = fetched.get(t)
+                self._meta_cache[t] = None if m is None else (
+                    *m, bm25.term_bound(self.n_docs, m[0], m[1],
+                                        self._dl_min, self.avgdl))
         return {t: m for t in terms if (m := self._meta_cache[t]) is not None}
 
     def _combine(self, terms: list[str],
@@ -293,19 +299,14 @@ class GridQueryEngine:
             ids = np.concatenate([p[0] for p in parts])
             scores = np.concatenate([p[1] for p in parts])
             return bm25.rank_topk(ids, scores, k)
-        ubs = {}
-        for t in live:
-            df, max_tf = metas[t]
-            idf = bm25.idf(self.n_docs, df)
-            ubs[t] = idf * float(bm25.tf_weight(
-                np.float64(max_tf), np.float64(self._dl_min), self.avgdl))
+        ubs = {t: metas[t][2] for t in live}
         by_ub = sorted(live, key=lambda t: (-ubs[t], t))
         essential = [t for t in by_ub if ubs[t] > 0.25 * ubs[by_ub[0]]]
         tail = [t for t in by_ub if ubs[t] <= 0.25 * ubs[by_ub[0]]]
 
         if not tail:
             uniq, sums = self._combine(live, self._scatter("partial_scores", live))
-            return bm25.rank_topk(self._doc_ids[uniq], sums, k)
+            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
 
         ess_parts = self._scatter("partial_scores", essential)
         uniq, sums = self._combine(essential, ess_parts)
@@ -317,7 +318,7 @@ class GridQueryEngine:
         if kth <= 0.0 or tail_ub >= kth - margin or len(cand) > max(64, 8 * k):
             by_term = {**ess_parts, **self._scatter("partial_scores", tail)}
             uniq, sums = self._combine(live, by_term)
-            return bm25.rank_topk(self._doc_ids[uniq], sums, k)
+            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
 
         tail_parts = self._scatter("candidate_scores", tail, cand)
         cand_scores = np.zeros(len(cand), dtype=np.float64)
@@ -330,7 +331,7 @@ class GridQueryEngine:
                     docs, scores = scores_at(docs, scores, cand)
                 j = np.searchsorted(cand, docs)
                 cand_scores[j] += scores
-        return bm25.rank_topk(self._doc_ids[cand], cand_scores, k)
+        return bm25.rank_topk_ords(cand, cand_scores, k, self._doc_ids)
 
     def msearch(self, queries: list[str], k: int = 10,
                 ) -> list[tuple[np.ndarray, np.ndarray]]:

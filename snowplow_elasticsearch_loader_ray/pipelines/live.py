@@ -179,6 +179,8 @@ def _extract_stream_docs(part_files: list[str], docs_dir: str,
     upper bound on docs) take the no-shuffle fast path above."""
     import ray.data
 
+    from .. import _raydata  # noqa: F401 (thread-safe path probe)
+
     if cfg.inline_build_max_docs:
         total = sum(pq.ParquetFile(f).metadata.num_rows
                     for f in part_files)
@@ -381,6 +383,8 @@ class LiveIndex:
         import ray.data    # siblings import locally; don't rely on
                            # build.py's module-level import side effect
 
+        from .. import _raydata  # noqa: F401 (thread-safe path probe)
+
         want = np.unique(np.asarray(doc_ids, dtype=np.int64))
         pieces: list[pa.Table] = []
         events = self._events()                # one scan for the loop
@@ -550,6 +554,8 @@ class LiveIndex:
                     internal.append((src, dead, prec))
         if internal:
             import ray.data
+
+            from .. import _raydata  # noqa: F401 (thread-safe path probe)
 
             parts = []
             for src, dead, prec in internal:

@@ -87,6 +87,8 @@ def derive_field_docs(docs: str | list[str], out_dir: str,
         import shutil
 
         shutil.rmtree(out_dir)
+    from .. import _raydata  # noqa: F401 (thread-safe path probe)
+
     (ray.data.read_parquet(docs, columns=["doc_id", spec.column])
         .map_batches(_derive_batch, batch_format="pyarrow",
                      fn_kwargs={"column": spec.column,

@@ -21,6 +21,7 @@ import time
 import pyarrow as pa
 import ray
 
+from .. import _raydata  # noqa: F401 (thread-safe path probe)
 from ..config import IndexConfig, DEFAULT_CONFIG
 from ..stages.transforms import DecompressPayloads, PurposeTransform
 from ..state import manifest as mf

@@ -29,6 +29,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .. import _raydata  # noqa: F401 (thread-safe path probe)
 from .analysis import _hash_tokens
 from ..tokenizer import tokenize_to_terms
 

@@ -207,6 +207,8 @@ def build_positions(docs: str | list[str], pos_dir: str,
     for f in files:
         bases[f] = at
         at += pq.ParquetFile(f).metadata.num_rows
+    from .. import _raydata  # noqa: F401 (thread-safe path probe)
+
     for kpart, files_k in enumerate(_plan_parts(files, num_parts)):
         if mf.is_committed(man_dir, f"pos-runs-part-{kpart:04d}"):
             continue

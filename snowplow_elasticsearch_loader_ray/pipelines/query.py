@@ -5,18 +5,28 @@ polling ES ``_search`` and reading ranked hits
 (``TestHelpers.scala:157-201``, SURVEY.md Q1) — except the relevance
 engine ES provided is implemented here from scratch.
 
-Two execution strategies over the same segments, tested rank-identical:
+Three execution strategies over the same segments, tested
+rank-identical:
 
+- ``score_maxscore`` (the serving default): vectorized MaxScore. Each
+  term has an upper bound on its partials, ``idf × tf_weight`` at its
+  largest block-max tf and the corpus's smallest doclen
+  (``bm25.term_bound``), computed once per index and kept in the term's
+  entry (``IndexReader.bound``). Terms accumulate in bound-descending
+  order until the remaining terms' bound sum cannot lift a doc outside
+  the accumulator into the top k; the few candidates left are then
+  rescored exactly, and the pruned head terms are never fully decoded.
 - ``score_taat``: term-at-a-time scoring with numpy over fully decoded
-  posting lists — vectorized, the throughput path for mid-size
-  candidate sets.
-- ``score_bmw``: document-at-a-time block-max WAND — skips whole
-  blocks whose score upper bound can't enter the current top-k; the
-  scale path for head-term queries over very long lists.
+  posting lists — what MaxScore falls back to when no term can bound
+  the others out.
+- ``score_bmw``: document-at-a-time block-max WAND, a per-document
+  Python loop kept to pin WAND's semantics, not to serve.
 
-Determinism: terms are processed in sorted order in both strategies, so
+Determinism: terms are summed in sorted order on every path, so
 per-doc float summation order is identical; ranking is by
-``(round(score, 7) desc, doc_id asc)`` (bm25.py).
+``(round(score, 7) desc, doc_id asc)`` (bm25.py), and the rank cuts to
+the rows near the k-th raw score before it rounds or gathers external
+ids (``bm25.near_kth``).
 
 Scored lists: BM25 scorers (TAAT, MaxScore, dis_max) take each term's
 (ordinals, partials) from ``IndexReader.scored`` — the same bounded
@@ -75,6 +85,9 @@ class IndexReader:
     LRU scored-list cache (``scored``: term → ordinals + BM25 partials
     under this index's stats), bounded at ``GRAFT_SHARD_HOT_POSTINGS``
     decoded postings per term shard.
+
+    ``terms`` maps a term to ``(df, cf, postings, bound)``; the bound
+    field is None until ``bound(term)`` first computes it.
     """
 
     def __init__(self, index_dir: str):
@@ -82,7 +95,7 @@ class IndexReader:
         st = index_stats(index_dir)
         self.n_docs = int(st["n_docs"])
         self.avgdl = float(st["avgdl"]) if st["avgdl"] else 1.0
-        self.terms: dict[str, tuple[int, int, bytes]] = {}
+        self.terms: dict[str, tuple[int, int, bytes, float | None]] = {}
         from ..codec import binary_views
 
         segments = sorted(glob.glob(os.path.join(index_dir, "segments",
@@ -97,12 +110,13 @@ class IndexReader:
                 t["cf"].to_pylist(), views,
             ):
                 if term != DOCLEN_TERM:          # legacy pseudo-term guard
-                    self.terms[term] = (df, cf, buf)
+                    self.terms[term] = (df, cf, buf, None)
         from .build import load_docmap
 
         # indexed by ordinal: external id + doclen per doc
         self.dl_doc_ids, lens = load_docmap(index_dir)
         self.dl_lens = lens.astype(np.float64)
+        self.dl_min = float(self.dl_lens.min()) if len(self.dl_lens) else 1.0
         self._ext_sorted: np.ndarray | None = None
         self._ext_order: np.ndarray | None = None
         # scored-list cache: term → (ordinals, BM25 partials) under
@@ -110,21 +124,32 @@ class IndexReader:
         # each) exactly like a pool actor that owned every shard
         self._scored = scored_lru(len(segments))
 
-    def scored(self, term: str, pl: PostingList | None = None
-               ) -> tuple[np.ndarray, np.ndarray] | None:
+    def scored(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """The term's (ascending ordinals, BM25 partials) under this
         index's stats, LRU-cached (``servecache.scored_lru``); None for
-        an unknown term. ``pl``: the term's posting list, when the
-        caller already holds it. Partials are deterministic per (term,
-        index), so a cached list is bit-identical to a fresh decode.
-        Scorers that use other stats (the live chain's summed
-        n_docs/avgdl) must decode ``postings`` instead."""
+        an unknown term. Partials are deterministic per (term, index),
+        so a cached list is bit-identical to a fresh decode. Scorers
+        that use other stats (the live chain's summed n_docs/avgdl) must
+        decode ``postings`` instead."""
         hit = self._scored.get(term)
         if hit is not None:
             return hit
-        if pl is None and (pl := self.postings(term)) is None:
+        if (pl := self.postings(term)) is None:
             return None
         return self._scored.put(term, scored_list(self, pl))
+
+    def bound(self, term: str) -> float:
+        """The term's MaxScore bound (``bm25.term_bound`` at its largest
+        block-max tf and this index's smallest doclen), ≥ each of its
+        partials. Computed on first use and kept in the term's entry:
+        it never changes for an index. ``term`` must be in ``terms``."""
+        e = self.terms[term]
+        if e[3] is None:
+            pl = PostingList(e[2])
+            max_tf = int(pl.max_tf.max()) if pl.n_blocks else 0
+            e = self.terms[term] = e[:3] + (bm25.term_bound(
+                self.n_docs, pl.n, max_tf, self.dl_min, self.avgdl),)
+        return e[3]
 
     def cached(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """``scored(term)`` if the cache holds it, else None — no decode."""
@@ -221,8 +246,16 @@ def score_taat(reader: IndexReader, query: str, k: int = 10) -> tuple[np.ndarray
     corpus is doc-partitioned across query shards (see ``IndexReader``),
     each holding ~10^7-10^8 docs, so the array stays ~100 MB-scale.
     """
-    cand_ids, cand_scores = _taat_scores(reader, query)
-    return bm25.rank_topk(cand_ids, cand_scores, k)
+    return _taat_topk(reader, tokenize_query(query), k)
+
+
+def _taat_topk(reader: IndexReader, terms: list[str], k: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``score_taat`` over already tokenized ``terms`` (sorted): the
+    rank cuts to the rows near the k-th score before it rounds or
+    gathers external ids (``bm25.rank_topk_ords``)."""
+    ords, scores = _taat_ords(reader, terms)
+    return bm25.rank_topk_ords(ords, scores, k, reader.dl_doc_ids)
 
 
 def _taat_scores(reader: IndexReader, query: str) -> tuple[np.ndarray, np.ndarray]:
@@ -235,20 +268,29 @@ def _taat_scores(reader: IndexReader, query: str) -> tuple[np.ndarray, np.ndarra
 def _taat_scores_ords(reader: IndexReader, query: str) -> tuple[np.ndarray, np.ndarray]:
     """All matching (ordinals, raw scores) — result surfaces that need
     doc-values gather by ordinal consume this directly."""
-    terms = tokenize_query(query)
+    return _taat_ords(reader, tokenize_query(query))
+
+
+def _taat_ords(reader: IndexReader, terms: list[str]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``_taat_scores_ords`` over already tokenized ``terms``, summed
+    in their (sorted) order."""
     acc = reader.acc_buffer()
     matched = False
     for t in terms:
         hit = reader.scored(t)
         if hit is None:
             continue
-        matched = True
         docs, part = hit
-        acc[docs] += part
+        if matched:
+            acc[docs] += part
+        else:
+            acc[docs] = part     # zeroed buffer: += without its gather
+        matched = True
     if not matched:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     # BM25 partial scores are strictly positive, so nonzero == matched
-    cand = np.nonzero(acc)[0]
+    cand = np.flatnonzero(acc)
     return cand, acc[cand]
 
 
@@ -274,9 +316,9 @@ def score_dismax(reader: IndexReader, query: str, k: int,
         np.maximum.at(acc_max, docs, s)
     if not matched:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    cand = np.nonzero(acc_sum)[0]
+    cand = np.flatnonzero(acc_sum)
     score = acc_max[cand] + tie_breaker * (acc_sum[cand] - acc_max[cand])
-    return bm25.rank_topk(reader.dl_doc_ids[cand], score, k)
+    return bm25.rank_topk_ords(cand, score, k, reader.dl_doc_ids)
 
 
 def score_text_expansion(reader: IndexReader, weights: dict[str, int],
@@ -346,20 +388,6 @@ def isin_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
 _PRUNE_MARGIN = 1e-6
 
 
-def _term_upper_bound(reader: IndexReader, pl: PostingList, idf: float) -> float:
-    """Safe per-term max contribution: idf × tf_weight at the term's
-    global max tf (block-max metadata) and the corpus minimum doclen —
-    every actual contribution is ≤ this."""
-    if not pl.n_blocks:
-        return 0.0
-    max_tf = float(pl.max_tf.max())
-    dl_min = getattr(reader, "_dl_min", None)
-    if dl_min is None:
-        dl_min = reader._dl_min = float(reader.dl_lens.min()) if len(reader.dl_lens) else 1.0
-    return idf * float(bm25.tf_weight(np.float64(max_tf),
-                                      np.float64(dl_min), reader.avgdl))
-
-
 def score_maxscore(reader: IndexReader, query: str, k: int = 10,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k BM25 via vectorized MaxScore: bit-identical to
@@ -381,6 +409,9 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
     block-max skip metadata as a read pruner). Skipped work is the full
     decode + weight of every pruned head term: exactly the stopword
     lists that dominate TAAT latency at 10^6+ docs.
+
+    Per-query set-up is lookups: each term's upper bound is computed
+    once per index and kept in its term entry (``IndexReader.bound``).
     """
     terms = [t for t in tokenize_query(query) if reader.df(t)]
     if not terms:
@@ -391,24 +422,23 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
         # (the accumulator would hold exactly these partials at exactly
         # these docs).
         docs, part = reader.scored(terms[0])
-        return bm25.rank_topk(reader.dl_doc_ids[docs], part, k)
-    entries = []
-    for t in terms:
-        pl = reader.postings(t)
-        entries.append((t, pl, _term_upper_bound(
-            reader, pl, bm25.idf(reader.n_docs, pl.n))))
-    if min(e[1].n for e in entries) > reader.n_docs // 4:
+        return bm25.rank_topk_ords(docs, part, k, reader.dl_doc_ids)
+    if min(reader.df(t) for t in terms) > reader.n_docs // 4:
         # every term is a head term: no selective term can bound the
         # kth above the tail's reach, so pruning cannot pay — take the
         # plain vectorized path with zero bookkeeping overhead
-        return score_taat(reader, query, k)
-    entries.sort(key=lambda e: (-e[2], e[0]))       # UB desc, term asc
-    ubs = np.array([e[2] for e in entries])
-    if len(ubs) > 1 and ubs[-1] > 0.25 * ubs[0]:
+        return _taat_topk(reader, terms, k)
+    by_ub = sorted(((reader.bound(t), t) for t in terms),
+                   key=lambda e: (-e[0], e[1]))          # UB desc, term asc
+    if by_ub[-1][0] > 0.25 * by_ub[0][0]:
         # all terms have comparable max impact: no term can bound the
         # others out, pruning cannot pay — plain path, zero bookkeeping
-        return score_taat(reader, query, k)
-    suffix = np.concatenate((np.cumsum(ubs[::-1])[::-1], [0.0]))
+        return _taat_topk(reader, terms, k)
+    # suffix[i]: bound sum of the terms from i on (plain floats: a
+    # few terms, so numpy's per-call cost would exceed the sums)
+    suffix = [0.0] * (len(by_ub) + 1)
+    for i in range(len(by_ub) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + by_ub[i][0]
 
     acc = reader.acc_buffer()
     # kth lower bound, maintained cheaply: the kth largest of the
@@ -419,28 +449,32 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
     cand_cap = max(64, 8 * k)
     pool: list[np.ndarray] = []
     attempts = 2          # failed prune attempts allowed before giving up
-    cut, cand = len(entries), None
+    cand = None
     lists: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # phase-1 scored
-    for i, (t, pl, _ub) in enumerate(entries):
+    for i, (_ub, t) in enumerate(by_ub):
         if (attempts and i >= 1 and kth_lb > 0.0
                 and suffix[i] < kth_lb - _PRUNE_MARGIN):
-            nz = np.nonzero(acc)[0]
-            maybe = nz[acc[nz] + suffix[i] >= kth_lb - _PRUNE_MARGIN]
+            # one pass: the threshold is > 0 here, so it also drops
+            # every unmatched (zero) slot
+            maybe = np.flatnonzero(acc >= kth_lb - _PRUNE_MARGIN - suffix[i])
             if len(maybe) <= cand_cap:   # prune pays only when selective
-                cut, cand = i, maybe
+                cand = maybe
                 break
             # dense score boundary: many docs sit within the tail's
             # reach of the kth — pruning cannot pay, stop trying soon
             attempts -= 1
-        docs, scores = lists[t] = reader.scored(t, pl)
-        acc[docs] += scores
+        docs, scores = lists[t] = reader.scored(t)
+        if i:
+            acc[docs] += scores
+        else:
+            acc[docs] = scores   # zeroed buffer: += without its gather
         # tighten the bound only when it could still unlock a prune
         # (there ARE cheaper terms left, and the current bound is too
         # weak to prune them); partials are pooled across processed
         # terms so even tiny-df terms contribute, and the pool is
         # stride-capped — the kth of any subset of partials is a valid
         # lower bound of the true kth
-        if (attempts and i + 1 < len(entries)
+        if (attempts and i + 1 < len(by_ub)
                 and kth_lb - _PRUNE_MARGIN < suffix[i + 1]):
             pool.append(docs[:: max(1, len(docs) // 50_000)])
             # dedupe: a doc pooled twice would repeat its partial and
@@ -451,26 +485,28 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
                 kth_lb = max(kth_lb, float(
                     np.partition(part, len(part) - k)[len(part) - k]))
     if cand is None:                                 # nothing pruned
-        cand = np.nonzero(acc)[0]
-        return bm25.rank_topk(reader.dl_doc_ids[cand], acc[cand], k)
+        cand = np.flatnonzero(acc)
+        return bm25.rank_topk_ords(cand, acc[cand], k, reader.dl_doc_ids)
 
     # exact rescore in sorted-term order (score_taat's summation order):
     # a list scored in phase 1 or still cached gives the candidates'
     # partials by intersect; only a cold pruned term decodes, and only
     # its blocks that hold candidates
     cand_scores = np.zeros(len(cand), dtype=np.float64)
-    for t, pl, _ub in sorted(entries, key=lambda e: e[0]):
+    for t in terms:
         hit = lists.get(t) or reader.cached(t)
         if hit is not None:
             docs, part = scores_at(*hit, cand)
         else:
+            pl = reader.postings(t)
             docs, tfs = pl.decode_for(cand)
             part = bm25_partials(reader, pl.n, docs, tfs)
         if not len(docs):
             continue
         cand_scores[np.searchsorted(cand, docs)] += part
     keep = cand_scores > 0.0
-    return bm25.rank_topk(reader.dl_doc_ids[cand[keep]], cand_scores[keep], k)
+    return bm25.rank_topk_ords(cand[keep], cand_scores[keep], k,
+                               reader.dl_doc_ids)
 
 
 def score_taat_after(reader: IndexReader, query: str, k: int = 10,

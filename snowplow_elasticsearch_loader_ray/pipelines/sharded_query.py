@@ -130,7 +130,7 @@ class ShardReader:
         docs, scores = scored
         return champion_topk(
             self._champ, term, k,
-            lambda kk: bm25.rank_topk(self.doc_ids[docs], scores, kk))
+            lambda kk: bm25.rank_topk_ords(docs, scores, kk, self.doc_ids))
 
     def topk_single_many(self, terms: list[str], k: int,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -222,7 +222,8 @@ class ShardedQueryEngine:
         self._dl_min = float(_lens.min()) if len(_lens) else 1.0
         # bounded term-meta cache (LRU): at web vocab an unbounded dict
         # grows with every distinct query term ever seen
-        self._meta_cache: "OrderedDict[str, tuple[int, int] | None]" = \
+        # term → (df, max tf, MaxScore bound), or None for an unknown term
+        self._meta_cache: "OrderedDict[str, tuple[int, int, float] | None]" = \
             OrderedDict()
         self._meta_cache_cap = 200_000
         # hot-partial cache (see _scatter): zero-copy plasma-backed
@@ -284,14 +285,18 @@ class ShardedQueryEngine:
             out.update(part)
         return out
 
-    def _metas(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        """(df, max_tf) per term, cached across queries (metadata-only
-        shard round for terms not yet seen)."""
+    def _metas(self, terms: list[str]) -> dict[str, tuple[int, int, float]]:
+        """(df, max_tf, MaxScore bound) per term, cached across queries
+        (metadata-only shard round for terms not yet seen; the bound is
+        ``bm25.term_bound``, the single reader's ``IndexReader.bound``)."""
         unknown = [t for t in terms if t not in self._meta_cache]
         if unknown:
             fetched = self._scatter("term_meta", unknown)
             for t in unknown:
-                self._meta_cache[t] = fetched.get(t)
+                m = fetched.get(t)
+                self._meta_cache[t] = None if m is None else (
+                    *m, bm25.term_bound(self.n_docs, m[0], m[1],
+                                        self._dl_min, self.avgdl))
         out = {}
         for t in terms:
             self._meta_cache.move_to_end(t)          # LRU touch
@@ -344,12 +349,7 @@ class ShardedQueryEngine:
             [(a, [t])] = group_by_reader(live, self.num_shards,
                                          len(self.readers))
             return ray.get(self.readers[a].topk_single.remote(t, k))
-        ubs = {}
-        for t in live:
-            df, max_tf = metas[t]
-            idf = bm25.idf(self.n_docs, df)
-            ubs[t] = idf * float(bm25.tf_weight(
-                np.float64(max_tf), np.float64(self._dl_min), self.avgdl))
+        ubs = {t: metas[t][2] for t in live}
         by_ub = sorted(live, key=lambda t: (-ubs[t], t))
         max_ub = ubs[by_ub[0]]
         essential = [t for t in by_ub if ubs[t] > 0.25 * max_ub]
@@ -358,7 +358,7 @@ class ShardedQueryEngine:
         if not tail:                           # comparable impacts: full path
             by_term = self._scatter("partial_scores", live)
             uniq, sums = self._combine(live, by_term)
-            return bm25.rank_topk(self._doc_ids[uniq], sums, k)
+            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
 
         ess_parts = self._scatter("partial_scores", essential)
         uniq, sums = self._combine(essential, ess_parts)
@@ -374,7 +374,7 @@ class ShardedQueryEngine:
             tail_parts = self._scatter("partial_scores", tail)
             by_term = {**ess_parts, **tail_parts}
             uniq, sums = self._combine(live, by_term)
-            return bm25.rank_topk(self._doc_ids[uniq], sums, k)
+            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
 
         # phase 2: candidate-only tail contributions, block-pruned
         tail_parts = self._scatter("candidate_scores", tail, cand)
@@ -391,7 +391,7 @@ class ShardedQueryEngine:
                 docs, scores = scores_at(docs, scores, cand)
             j = np.searchsorted(cand, docs)
             cand_scores[j] += scores
-        return bm25.rank_topk(self._doc_ids[cand], cand_scores, k)
+        return bm25.rank_topk_ords(cand, cand_scores, k, self._doc_ids)
 
     def match_scores(self, query: str) -> tuple[np.ndarray, np.ndarray]:
         """All matching (external doc_ids, raw BM25 sums) — the full

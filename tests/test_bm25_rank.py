@@ -52,3 +52,93 @@ def test_rank_topk_k_exceeds_n():
     scores = np.array([1.0, 1.0, 2.0])
     d, s = rank_topk(doc_ids, scores, 10)
     np.testing.assert_array_equal(d, [9, 3, 5])
+
+
+# --------------------------------------------------------------------------
+# the cut before rounding (bm25.near_kth) and the ordinal-side rank
+# --------------------------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from snowplow_elasticsearch_loader_ray.bm25 import (  # noqa: E402
+    _round1, near_kth, rank_topk_ords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e13, 1e13, allow_nan=False),
+       st.sampled_from([0, 2, 7]))
+def test_scalar_round_is_numpy_round(x, score_round):
+    """The cut's thresholds round one float at a time in plain Python;
+    that must be ``np.round`` exactly, rounding midpoints included."""
+    for v in (x, float(np.round(x, score_round)) + 0.5 * 10.0 ** -score_round):
+        assert _round1(v, score_round) == float(np.round(v, score_round))
+
+
+@st.composite
+def _rows(draw):
+    """(scores, k) whose k-th score sits in a crowd: rows within a few
+    1e-7 rounding steps (or, from 1e9 up, a few float spacings) of a
+    rounding midpoint, boundary classes far larger than k, plain spread
+    rows, k = 0 and k >= n. Sizes straddle both the no-cut limit
+    (4k + 64 rows) and the sampled two-stage cut (over 4096 rows)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 5, 70, 300, 2_000, 5_000, 9_000]))
+    k = draw(st.one_of(st.integers(0, 40), st.sampled_from([n, n + 3])))
+    scale = draw(st.sampled_from([1.0, 40.0, 1e9, 1e12]))
+    # a rounding midpoint (x.xxxxxxx5) near which rows crowd
+    mid = float(np.round(scale * (1 + rng.random()), 7)) + 0.5e-7
+    step = max(2.5e-8, float(np.spacing(mid)))
+    crowd = mid + rng.integers(-12, 13, n) * step
+    spread = scale * (1 + rng.random(n))
+    kind = draw(st.sampled_from(["crowd", "ties", "spread", "mixed"]))
+    if kind == "crowd":
+        scores = crowd
+    elif kind == "ties":                     # a few values, huge classes
+        scores = rng.choice(crowd[:3], n) if n >= 3 else crowd
+    elif kind == "spread":
+        scores = spread
+    else:
+        scores = np.where(rng.random(n) < 0.3, crowd, spread)
+    return np.asarray(scores, dtype=np.float64), k, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows())
+def test_cut_rank_matches_full_lexsort(case):
+    scores, k, rng = case
+    n = len(scores)
+    doc_ids = rng.choice(10**12, size=n, replace=False).astype(np.int64)
+    want = _brute(doc_ids, scores, max(k, 0))
+    got = rank_topk(doc_ids, scores, k)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+    # ordinal side: rows keyed by ordinals into an id table
+    table = rng.permutation(np.arange(n + 7, dtype=np.int64) * 3)
+    ords = np.sort(rng.choice(n + 7, size=n, replace=False))
+    want = _brute(table[ords], scores, max(k, 0))
+    got = rank_topk_ords(ords, scores, k, table)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+    # the cut keeps every row that rounds into the top k's classes
+    if k > 0 and (rows := near_kth(scores, k)) is not None:
+        r = np.round(scores, 7)
+        kth = np.sort(r)[n - k]
+        assert set(np.flatnonzero(r >= kth).tolist()) <= set(rows.tolist())
+
+
+def test_cut_margin_follows_float_spacing():
+    """Around 1e12 a float spacing is 1.2e-4 and two neighbouring floats
+    can round to one 7-decimal value: a fixed two-step (2e-7) margin
+    would cut rows of the k-th rounding class. Every row of that class
+    must survive, and the rank must equal the full sort."""
+    base = 1e12 + 0.123
+    sp = float(np.spacing(base))
+    scores = np.concatenate((base + np.arange(-40, 41) * sp,
+                             np.linspace(1.0, 5.0, 5_000)))
+    doc_ids = np.arange(len(scores), dtype=np.int64)[::-1].copy()
+    for k in (1, 10, 40, 81):
+        _check(doc_ids, scores, k)
+        r = np.round(scores, 7)
+        kth = np.sort(r)[len(r) - k]
+        rows = near_kth(scores, k)
+        assert set(np.flatnonzero(r >= kth).tolist()) <= set(rows.tolist())

@@ -114,3 +114,36 @@ def test_batch_encode_many_lists_roundtrip(lists, empty_at, block_size):
         got_d, got_t = pl.decode_blocks(np.arange(pl.n_blocks)[::-1])
         np.testing.assert_array_equal(got_d, d)
         np.testing.assert_array_equal(got_t, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_size=st.sampled_from([4, 16, 128]), data=st.data(),
+       start=st.integers(min_value=0, max_value=1 << 60))
+def test_single_block_decode_matches_general_path(block_size, data, start):
+    """A list of one block (n = 1..block_size) decodes through one
+    ``decode_block`` call; it must equal the general decode: the same
+    postings at the head of a longer list (full blocks decode as
+    width-class runs), the subset decoder, and ``decode_for`` — same
+    values, dtypes, and writable arrays the caller owns."""
+    n = data.draw(st.integers(min_value=1, max_value=block_size))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=1 << 34),
+                              min_size=n + block_size,
+                              max_size=n + block_size))
+    all_docs = start + np.cumsum(np.array(gaps, dtype=np.int64))
+    all_tfs = np.array(data.draw(st.lists(
+        tfs_value, min_size=len(gaps), max_size=len(gaps))), dtype=np.int64)
+    docs, tfs = all_docs[:n], all_tfs[:n]
+    pl = PostingList(encode_postings(docs, tfs, block_size=block_size))
+    assert pl.n_blocks == 1
+    d, t = pl.decode_all()
+    np.testing.assert_array_equal(d, docs)
+    np.testing.assert_array_equal(t, tfs)
+    longer = PostingList(encode_postings(all_docs, all_tfs,
+                                         block_size=block_size))
+    gd, gt = longer.decode_all()
+    assert d.dtype == gd.dtype and t.dtype == gt.dtype
+    assert d.tolist() == gd[:n].tolist() and t.tolist() == gt[:n].tolist()
+    for sd, st_ in (pl.decode_blocks(np.array([0])), pl.decode_for(docs)):
+        assert d.tolist() == sd.tolist() and t.tolist() == st_.tolist()
+    assert d.flags.writeable and t.flags.writeable
+    assert d.base is None and t.base is None        # not views of the buffer

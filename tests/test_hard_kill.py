@@ -52,7 +52,10 @@ def test_sigkill_mid_build_then_resume(ray_session, tiny_pages, tmp_path):
             break
         if proc.poll() is not None:
             break
-        time.sleep(0.2)
+        # poll fast: the first run commit precedes the index commit by
+        # only ~0.2 s on a small build, and a kill that misses the
+        # window skips the test
+        time.sleep(0.01)
     if proc.poll() is None:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
