@@ -27,12 +27,17 @@ def idf(n_docs: float, df: float) -> float:
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
+def _tf_part(tf, doclen, avgdl: float, k1: float, b: float):
+    """The tf part's arithmetic, on float64 arrays or Python floats:
+    the same IEEE operations either way."""
+    return tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * doclen / avgdl))
+
+
 def tf_weight(tf: np.ndarray, doclen: np.ndarray, avgdl: float,
               k1: float = K1, b: float = B) -> np.ndarray:
     """Vectorized tf part; tf/doclen may be numpy arrays or scalars."""
-    tf = np.asarray(tf, dtype=np.float64)
-    doclen = np.asarray(doclen, dtype=np.float64)
-    return tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * doclen / avgdl))
+    return _tf_part(np.asarray(tf, dtype=np.float64),
+                    np.asarray(doclen, dtype=np.float64), avgdl, k1, b)
 
 
 def upper_bound(idf_t: float, max_tf: int, k1: float = K1, b: float = B) -> float:
@@ -51,34 +56,34 @@ def term_bound(n_docs: float, df: float, max_tf: float, dl_min: float,
     """MaxScore bound of one term: ``idf × tf_weight`` at the term's
     largest tf (block-max metadata) and the corpus's smallest doclen.
     ``tf_weight`` rises with tf and falls with doclen, so no partial of
-    the term exceeds it. Plain float arithmetic: the same IEEE
-    operations, in the same order, as ``tf_weight`` on scalars, without
-    its array set-up."""
-    tf = float(max_tf)
-    return idf(n_docs, df) * (tf * (k1 + 1.0)
-                              / (tf + k1 * (1.0 - b + b * dl_min / avgdl)))
+    the term exceeds it. ``tf_weight``'s arithmetic on Python floats:
+    a serve stream meets new terms all the time, and numpy's per-call
+    set-up would cost each one a few µs."""
+    return idf(n_docs, df) * _tf_part(float(max_tf), float(dl_min),
+                                      avgdl, k1, b)
 
 
 def _round1(x: float, score_round: int) -> float:
-    """``np.round(x, score_round)`` of one finite float without numpy's
+    """``np.round(x, score_round)`` of one float without numpy's
     per-call cost: for ``score_round >= 0`` numpy multiplies by
     10^score_round, rounds half to even (``rint``) and divides — the
     same IEEE operations as below (Python's ``round`` is half-to-even
-    and exact)."""
-    if score_round < 0:
-        return float(np.round(x, score_round))
+    and exact). Where the product overflows, numpy's answer is ±inf."""
     f = 10.0 ** score_round
-    return round(x * f) / f
+    y = x * f
+    if score_round < 0 or not math.isfinite(y):
+        return float(np.round(x, score_round))
+    return round(y) / f
 
 
 def _below_round_class(x: float, score_round: int) -> float:
     """A threshold ``lo`` under which every score rounds strictly below
-    ``round(x)``. ``np.round`` never reverses an order, so a score under
-    ``lo`` rounds to at most ``round(prev(lo))``. ``lo`` starts two
-    rounding steps below ``x``, or four float spacings where those are
-    wider (from about 1e9 up a spacing exceeds a 1e-7 step, and around
-    1e12 two neighbouring floats can round alike), and widens until
-    ``round(prev(lo)) < round(x)``."""
+    ``round(x)`` (finite). ``np.round`` never reverses an order, so a
+    score under ``lo`` rounds to at most ``round(prev(lo))``. ``lo``
+    starts two rounding steps below ``x``, or four float spacings where
+    those are wider (from about 1e9 up a spacing exceeds a 1e-7 step,
+    and around 1e12 two neighbouring floats can round alike), and
+    widens until ``round(prev(lo)) < round(x)``."""
     r_x = _round1(x, score_round)
     margin = 2.0 * max(10.0 ** -score_round, 4.0 * math.ulp(x))
     while _round1(math.nextafter(x - margin, -math.inf),
@@ -87,59 +92,48 @@ def _below_round_class(x: float, score_round: int) -> float:
     return x - margin
 
 
-#: rows above which ``near_kth`` finds the k-th score through a sample:
-#: below it one partition of every row is cheaper (at k=10, numpy 1.26,
-#: one core of a 4-vCPU VM: a direct partition costs about 13 µs at 4k
-#: rows and 140 µs at 20k, the sampled two-stage cut 18 µs at both)
-_SAMPLE_ROWS = 4096
-
-
-def near_kth(scores: np.ndarray, k: int,
-             score_round: int = SCORE_ROUND) -> np.ndarray | None:
+def _near_kth(scores: np.ndarray, k: int,
+              score_round: int) -> np.ndarray | None:
     """Positions of the raw ``scores`` that can round to at least the
     k-th largest rounded score, found before any rounding; None when no
-    cut pays (at most ``4k + 64`` rows) or applies (integer or
-    non-finite scores).
+    cut pays (at most ``4k + 64`` rows, or every row survives) or
+    applies (integer scores, or a k-th score that is not finite or
+    rounds to ±inf).
 
     The k-th largest rounded score is ``round(kth)`` for the k-th
     largest raw score ``kth`` (rounding never reverses an order), so
     the rows at or above ``_below_round_class(kth)`` are all a top-k can
-    hold, ties included. Past ``_SAMPLE_ROWS`` rows, ``kth`` comes
-    without partitioning every row: the k-th largest of a strided
-    sample is a lower bound ``lb`` on it (the sample is a subset), so
-    only the rows at or above ``_below_round_class(lb)`` — about
-    sqrt(k·n) of them — are partitioned."""
+    hold, ties included."""
     n = len(scores)
     if n <= 4 * k + 64 or scores.dtype.kind != "f":
         return None
-    rows, sub = None, scores
-    if n > _SAMPLE_ROWS:
-        sample = scores[::max(1, math.isqrt(n // k))]
-        lb = float(np.partition(sample, len(sample) - k)[len(sample) - k])
-        if not math.isfinite(lb):
-            return None
-        lo_lb = _below_round_class(lb, score_round)
-        rows = np.flatnonzero(scores >= lo_lb)
-        sub = scores[rows]
-        if len(sub) < k:                 # only with NaN rows in play
-            return None
-    kth = float(np.partition(sub, len(sub) - k)[len(sub) - k])
-    if not math.isfinite(kth):
+    kth = float(np.partition(scores, n - k)[n - k])
+    if not math.isfinite(_round1(kth, score_round)):
         return None
-    keep = np.flatnonzero(sub >= _below_round_class(kth, score_round))
-    # rows under lo_lb round below round(lb) <= round(kth): never needed
-    return keep if rows is None else rows[keep]
+    keep = np.flatnonzero(scores >= _below_round_class(kth, score_round))
+    return None if len(keep) == n else keep
 
 
 def rank_topk(doc_ids: np.ndarray, scores: np.ndarray, k: int,
-              score_round: int = SCORE_ROUND) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k by (round(score) desc, doc_id asc); returns (doc_ids, rounded scores)."""
+              score_round: int = SCORE_ROUND, ords: np.ndarray | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k by (round(score) desc, doc_id asc); returns (doc_ids, rounded scores).
+
+    With ``ords``, row i is the doc with ordinal ``ords[i]`` and
+    ``doc_ids`` maps ordinal → external id: only the rows that survive
+    the cut before rounding gather their ids."""
     if k <= 0:
         # size=0 is a legal ES request (aggs-only search): no hits
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    near = near_kth(scores, k, score_round)
+    near = _near_kth(scores, k, score_round)
     if near is not None:                 # round only the rows that can rank
-        doc_ids, scores = doc_ids[near], scores[near]
+        scores = scores[near]
+        if ords is None:
+            doc_ids = doc_ids[near]
+        else:
+            ords = ords[near]
+    if ords is not None:
+        doc_ids = doc_ids[ords]
     r = np.round(scores, score_round)
     if len(r) > 4 * k + 64:
         # the rows near the k-th score can still be a huge tie class
@@ -160,14 +154,3 @@ def rank_topk(doc_ids: np.ndarray, scores: np.ndarray, k: int,
     order = np.lexsort((doc_ids, -r))
     top = order[:k]
     return doc_ids[top], r[top]
-
-
-def rank_topk_ords(ords: np.ndarray, scores: np.ndarray, k: int,
-                   doc_ids: np.ndarray, score_round: int = SCORE_ROUND,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``rank_topk(doc_ids[ords], scores, k)`` for rows keyed by doc
-    ordinal: the ``near_kth`` cut runs first, so only its survivors
-    gather their external ids (``doc_ids``: ordinal → id)."""
-    if k > 0 and (near := near_kth(scores, k, score_round)) is not None:
-        ords, scores = ords[near], scores[near]
-    return rank_topk(doc_ids[ords], scores, k, score_round)

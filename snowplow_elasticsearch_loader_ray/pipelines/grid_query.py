@@ -306,7 +306,7 @@ class GridQueryEngine:
 
         if not tail:
             uniq, sums = self._combine(live, self._scatter("partial_scores", live))
-            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
+            return bm25.rank_topk(self._doc_ids, sums, k, ords=uniq)
 
         ess_parts = self._scatter("partial_scores", essential)
         uniq, sums = self._combine(essential, ess_parts)
@@ -318,7 +318,7 @@ class GridQueryEngine:
         if kth <= 0.0 or tail_ub >= kth - margin or len(cand) > max(64, 8 * k):
             by_term = {**ess_parts, **self._scatter("partial_scores", tail)}
             uniq, sums = self._combine(live, by_term)
-            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
+            return bm25.rank_topk(self._doc_ids, sums, k, ords=uniq)
 
         tail_parts = self._scatter("candidate_scores", tail, cand)
         cand_scores = np.zeros(len(cand), dtype=np.float64)
@@ -331,7 +331,7 @@ class GridQueryEngine:
                     docs, scores = scores_at(docs, scores, cand)
                 j = np.searchsorted(cand, docs)
                 cand_scores[j] += scores
-        return bm25.rank_topk_ords(cand, cand_scores, k, self._doc_ids)
+        return bm25.rank_topk(self._doc_ids, cand_scores, k, ords=cand)
 
     def msearch(self, queries: list[str], k: int = 10,
                 ) -> list[tuple[np.ndarray, np.ndarray]]:

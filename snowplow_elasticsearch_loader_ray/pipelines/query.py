@@ -26,7 +26,7 @@ Determinism: terms are summed in sorted order on every path, so
 per-doc float summation order is identical; ranking is by
 ``(round(score, 7) desc, doc_id asc)`` (bm25.py), and the rank cuts to
 the rows near the k-th raw score before it rounds or gathers external
-ids (``bm25.near_kth``).
+ids (``bm25.rank_topk``).
 
 Scored lists: BM25 scorers (TAAT, MaxScore, dis_max) take each term's
 (ordinals, partials) from ``IndexReader.scored`` — the same bounded
@@ -253,9 +253,9 @@ def _taat_topk(reader: IndexReader, terms: list[str], k: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """``score_taat`` over already tokenized ``terms`` (sorted): the
     rank cuts to the rows near the k-th score before it rounds or
-    gathers external ids (``bm25.rank_topk_ords``)."""
+    gathers external ids (``bm25.rank_topk``'s ``ords``)."""
     ords, scores = _taat_ords(reader, terms)
-    return bm25.rank_topk_ords(ords, scores, k, reader.dl_doc_ids)
+    return bm25.rank_topk(reader.dl_doc_ids, scores, k, ords=ords)
 
 
 def _taat_scores(reader: IndexReader, query: str) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +318,7 @@ def score_dismax(reader: IndexReader, query: str, k: int,
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     cand = np.flatnonzero(acc_sum)
     score = acc_max[cand] + tie_breaker * (acc_sum[cand] - acc_max[cand])
-    return bm25.rank_topk_ords(cand, score, k, reader.dl_doc_ids)
+    return bm25.rank_topk(reader.dl_doc_ids, score, k, ords=cand)
 
 
 def score_text_expansion(reader: IndexReader, weights: dict[str, int],
@@ -422,7 +422,7 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
         # (the accumulator would hold exactly these partials at exactly
         # these docs).
         docs, part = reader.scored(terms[0])
-        return bm25.rank_topk_ords(docs, part, k, reader.dl_doc_ids)
+        return bm25.rank_topk(reader.dl_doc_ids, part, k, ords=docs)
     if min(reader.df(t) for t in terms) > reader.n_docs // 4:
         # every term is a head term: no selective term can bound the
         # kth above the tail's reach, so pruning cannot pay — take the
@@ -486,7 +486,7 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
                     np.partition(part, len(part) - k)[len(part) - k]))
     if cand is None:                                 # nothing pruned
         cand = np.flatnonzero(acc)
-        return bm25.rank_topk_ords(cand, acc[cand], k, reader.dl_doc_ids)
+        return bm25.rank_topk(reader.dl_doc_ids, acc[cand], k, ords=cand)
 
     # exact rescore in sorted-term order (score_taat's summation order):
     # a list scored in phase 1 or still cached gives the candidates'
@@ -505,8 +505,8 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
             continue
         cand_scores[np.searchsorted(cand, docs)] += part
     keep = cand_scores > 0.0
-    return bm25.rank_topk_ords(cand[keep], cand_scores[keep], k,
-                               reader.dl_doc_ids)
+    return bm25.rank_topk(reader.dl_doc_ids, cand_scores[keep], k,
+                          ords=cand[keep])
 
 
 def score_taat_after(reader: IndexReader, query: str, k: int = 10,

@@ -221,7 +221,7 @@ def fused_combine_rank(owner, n_docs: int, jobs, slices_by_term, k: int,
 
     def run_with(acc, live):
         uniq, sums = dense_combine_into(acc, live, slices_by_term)
-        return bm25.rank_topk_ords(uniq, sums, k, doc_ids)
+        return bm25.rank_topk(doc_ids, sums, k, ords=uniq)
 
     budget_bytes = MSEARCH_POOL_MB * (1 << 20)
     max_threads = max(1, min(MSEARCH_THREADS, len(jobs),

@@ -130,7 +130,7 @@ class ShardReader:
         docs, scores = scored
         return champion_topk(
             self._champ, term, k,
-            lambda kk: bm25.rank_topk_ords(docs, scores, kk, self.doc_ids))
+            lambda kk: bm25.rank_topk(self.doc_ids, scores, kk, ords=docs))
 
     def topk_single_many(self, terms: list[str], k: int,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -358,7 +358,7 @@ class ShardedQueryEngine:
         if not tail:                           # comparable impacts: full path
             by_term = self._scatter("partial_scores", live)
             uniq, sums = self._combine(live, by_term)
-            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
+            return bm25.rank_topk(self._doc_ids, sums, k, ords=uniq)
 
         ess_parts = self._scatter("partial_scores", essential)
         uniq, sums = self._combine(essential, ess_parts)
@@ -374,7 +374,7 @@ class ShardedQueryEngine:
             tail_parts = self._scatter("partial_scores", tail)
             by_term = {**ess_parts, **tail_parts}
             uniq, sums = self._combine(live, by_term)
-            return bm25.rank_topk_ords(uniq, sums, k, self._doc_ids)
+            return bm25.rank_topk(self._doc_ids, sums, k, ords=uniq)
 
         # phase 2: candidate-only tail contributions, block-pruned
         tail_parts = self._scatter("candidate_scores", tail, cand)
@@ -391,7 +391,7 @@ class ShardedQueryEngine:
                 docs, scores = scores_at(docs, scores, cand)
             j = np.searchsorted(cand, docs)
             cand_scores[j] += scores
-        return bm25.rank_topk_ords(cand, cand_scores, k, self._doc_ids)
+        return bm25.rank_topk(self._doc_ids, cand_scores, k, ords=cand)
 
     def match_scores(self, query: str) -> tuple[np.ndarray, np.ndarray]:
         """All matching (external doc_ids, raw BM25 sums) — the full

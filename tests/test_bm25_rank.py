@@ -55,21 +55,23 @@ def test_rank_topk_k_exceeds_n():
 
 
 # --------------------------------------------------------------------------
-# the cut before rounding (bm25.near_kth) and the ordinal-side rank
+# the cut before rounding (bm25._near_kth) and the ordinal-side rank
 # --------------------------------------------------------------------------
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from snowplow_elasticsearch_loader_ray.bm25 import (  # noqa: E402
-    _round1, near_kth, rank_topk_ords)
+    _near_kth, _round1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(-1e13, 1e13, allow_nan=False),
+@given(st.one_of(st.floats(-1e13, 1e13),
+                 st.floats(-1.7e308, 1.7e308, allow_infinity=False)),
        st.sampled_from([0, 2, 7]))
 def test_scalar_round_is_numpy_round(x, score_round):
     """The cut's thresholds round one float at a time in plain Python;
-    that must be ``np.round`` exactly, rounding midpoints included."""
+    that must be ``np.round`` exactly, rounding midpoints included, and
+    ±inf where numpy's scaling by 10^score_round overflows."""
     for v in (x, float(np.round(x, score_round)) + 0.5 * 10.0 ** -score_round):
         assert _round1(v, score_round) == float(np.round(v, score_round))
 
@@ -79,8 +81,8 @@ def _rows(draw):
     """(scores, k) whose k-th score sits in a crowd: rows within a few
     1e-7 rounding steps (or, from 1e9 up, a few float spacings) of a
     rounding midpoint, boundary classes far larger than k, plain spread
-    rows, k = 0 and k >= n. Sizes straddle both the no-cut limit
-    (4k + 64 rows) and the sampled two-stage cut (over 4096 rows)."""
+    rows, k = 0 and k >= n. Sizes straddle the no-cut limit (4k + 64
+    rows)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.sampled_from([0, 1, 5, 70, 300, 2_000, 5_000, 9_000]))
     k = draw(st.one_of(st.integers(0, 40), st.sampled_from([n, n + 3])))
@@ -116,11 +118,11 @@ def test_cut_rank_matches_full_lexsort(case):
     table = rng.permutation(np.arange(n + 7, dtype=np.int64) * 3)
     ords = np.sort(rng.choice(n + 7, size=n, replace=False))
     want = _brute(table[ords], scores, max(k, 0))
-    got = rank_topk_ords(ords, scores, k, table)
+    got = rank_topk(table, scores, k, ords=ords)
     assert got[0].tolist() == want[0].tolist()
     assert got[1].tolist() == want[1].tolist()
     # the cut keeps every row that rounds into the top k's classes
-    if k > 0 and (rows := near_kth(scores, k)) is not None:
+    if k > 0 and (rows := _near_kth(scores, k, 7)) is not None:
         r = np.round(scores, 7)
         kth = np.sort(r)[n - k]
         assert set(np.flatnonzero(r >= kth).tolist()) <= set(rows.tolist())
@@ -140,5 +142,25 @@ def test_cut_margin_follows_float_spacing():
         _check(doc_ids, scores, k)
         r = np.round(scores, 7)
         kth = np.sort(r)[len(r) - k]
-        rows = near_kth(scores, k)
+        rows = _near_kth(scores, k, 7)
         assert set(np.flatnonzero(r >= kth).tolist()) <= set(rows.tolist())
+
+
+def test_cut_rank_at_huge_magnitudes():
+    """Scores near 1e300 still take the cut; from about 1.8e301 up numpy's
+    rounding overflows to inf (a DSL boost of 1e302 scores there), where
+    no cut applies and the rank must neither raise nor differ from the
+    full sort. Negative extremes round to -inf."""
+    rng = np.random.default_rng(11)
+    doc_ids = rng.permutation(6_000).astype(np.int64)
+    table = np.arange(6_000, dtype=np.int64)[::-1].copy()
+    for scale in (1e300, 1e302, 1.7e308, -1.7e308):
+        spread = scale * (1 - rng.random(6_000) / 8)
+        ties = np.full(6_000, scale)
+        for scores in (spread, ties, np.where(rng.random(6_000) < 0.5, spread, 1.0)):
+            for k in (1, 10, 40):
+                _check(doc_ids, scores, k)
+                want = _brute(table[doc_ids], scores, k)
+                got = rank_topk(table, scores, k, ords=doc_ids)
+                assert got[0].tolist() == want[0].tolist()
+                assert got[1].tolist() == want[1].tolist()
