@@ -103,12 +103,15 @@ def _near_kth(scores: np.ndarray, k: int,
     The k-th largest rounded score is ``round(kth)`` for the k-th
     largest raw score ``kth`` (rounding never reverses an order), so
     the rows at or above ``_below_round_class(kth)`` are all a top-k can
-    hold, ties included."""
+    hold, ties included. None too when a score is NaN: ``np.partition``
+    ranks NaN highest, so the k-th largest would sit one row too low
+    (the check reads only the partition's top-k slice)."""
     n = len(scores)
     if n <= 4 * k + 64 or scores.dtype.kind != "f":
         return None
-    kth = float(np.partition(scores, n - k)[n - k])
-    if not math.isfinite(_round1(kth, score_round)):
+    top = np.partition(scores, n - k)[n - k:]
+    kth = float(top[0])
+    if np.isnan(top).any() or not math.isfinite(_round1(kth, score_round)):
         return None
     keep = np.flatnonzero(scores >= _below_round_class(kth, score_round))
     return None if len(keep) == n else keep
@@ -142,15 +145,19 @@ def rank_topk(doc_ids: np.ndarray, scores: np.ndarray, k: int,
         # survives (< k rows by construction), and the k-th-score
         # boundary class contributes only its m smallest doc_ids via
         # argpartition — never a sort over the tie class. Identical
-        # result to lexsorting all candidates.
-        kth = np.partition(r, len(r) - k)[len(r) - k]
-        above = np.nonzero(r > kth)[0]
-        bnd = np.nonzero(r == kth)[0]
-        m = k - len(above)
-        if m > 0 and len(bnd) > m:
-            bnd = bnd[np.argpartition(doc_ids[bnd], m - 1)[:m]]
-        sel = np.concatenate((above, bnd))
-        doc_ids, r = doc_ids[sel], r[sel]
+        # result to lexsorting all candidates. A NaN in the top-k slice
+        # (np.partition ranks it highest) skips the cut: the lexsort
+        # below ranks NaN last.
+        top = np.partition(r, len(r) - k)[len(r) - k:]
+        if not np.isnan(top).any():
+            kth = top[0]
+            above = np.nonzero(r > kth)[0]
+            bnd = np.nonzero(r == kth)[0]
+            m = k - len(above)
+            if m > 0 and len(bnd) > m:
+                bnd = bnd[np.argpartition(doc_ids[bnd], m - 1)[:m]]
+            sel = np.concatenate((above, bnd))
+            doc_ids, r = doc_ids[sel], r[sel]
     order = np.lexsort((doc_ids, -r))
     top = order[:k]
     return doc_ids[top], r[top]

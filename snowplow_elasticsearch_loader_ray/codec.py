@@ -231,8 +231,13 @@ class PostingList:
         2-D cumsum — no per-block Python loop (the query-path hot spot:
         a head term at 10^8 postings is ~10^6 blocks). The (at most
         one) short tail block falls back to ``decode_block``, and so does
-        a list of one block (most terms: 88% of the ``serve`` benchmark
-        index's vocabulary has at most 128 postings).
+        a list of one block. The serving readers never decode one-block
+        lists here: they score all of them in one batch with one
+        ``decode_postings_batch`` per segment (``servecache.ShortLists``;
+        88% of the ``serve`` benchmark index's vocabulary has at most
+        128 postings); this path serves every other caller (boolean
+        and filter queries, the live chain's scoring, merges, raw-tf
+        lists).
         """
         if self.n == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
@@ -363,6 +368,127 @@ def decode_postings(buf: bytes) -> tuple[np.ndarray, np.ndarray]:
     return PostingList(buf).decode_all()
 
 
+def _binary_buffers(arr) -> tuple[memoryview, np.ndarray]:
+    """(data buffer, row byte offsets) of a Binary/LargeBinary array:
+    row ``i`` is ``data[offs[i]:offs[i + 1]]``."""
+    import pyarrow as pa
+
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
+        arr.offset: arr.offset + len(arr) + 1]
+    data = arr.buffers()[2]
+    return memoryview(data if data is not None else b""), offs
+
+
+def _read(buf8: np.ndarray, pos: np.ndarray, dtype) -> np.ndarray:
+    """The little-endian ``dtype`` integers at byte offsets ``pos`` of
+    the u8 buffer ``buf8``: one fancy-index gather from an unaligned
+    view whose element ``i`` starts at byte ``i``."""
+    dtype = np.dtype(dtype)
+    at = np.ndarray((max(0, len(buf8) - dtype.itemsize + 1),), dtype,
+                    buffer=buf8, strides=(1,))
+    return at[pos]
+
+
+def _read_ragged(buf8: np.ndarray, base: np.ndarray, width: np.ndarray,
+                 n_b: np.ndarray) -> np.ndarray:
+    """Read posting ``p`` of block ``b`` at ``base[b] + width[b] * p``
+    as a ``width[b]``-byte unsigned integer, widened to int64: one
+    gather per width class (the inverse of ``_scatter_ragged``)."""
+    p = np.arange(int(n_b.sum()))
+    classes = np.unique(width)
+    if len(classes) == 1:                        # the common case
+        w = int(classes[0])
+        return _read(buf8, np.repeat(base, n_b) + w * p,
+                     _DTYPES[w]).astype(np.int64)
+    w_p = np.repeat(width, n_b)
+    pos = np.repeat(base, n_b) + w_p * p
+    out = np.empty(len(p), dtype=np.int64)
+    for w in classes:
+        sel = np.flatnonzero(w_p == w)
+        out[sel] = _read(buf8, pos[sel], _DTYPES[int(w)])
+    return out
+
+
+def one_block_rows(postings) -> np.ndarray:
+    """Rows of a ``postings`` column (Binary) whose list is exactly one
+    block (``0 < n <= block_size``): the lists a reader decodes and
+    weighs in one batch. Reads the 12-byte headers only."""
+    data, offs = _binary_buffers(postings)
+    buf8 = np.frombuffer(data, dtype=np.uint8)
+    if not len(offs) or not len(buf8):
+        return np.empty(0, dtype=np.int64)
+    n_blocks = _read(buf8, offs[:-1].astype(np.int64) + 8, _HEADER)
+    return np.flatnonzero(n_blocks == 1)
+
+
+def decode_postings_batch(postings, rows
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode rows ``rows`` of a segment's ``postings`` column (Binary,
+    one list per row, the layout above) in one vectorized pass — the
+    inverse of ``encode_postings_batch``.
+
+    Returns CSR arrays ``(starts, docs, tfs)``: the list of
+    ``rows[i]`` is ``docs[starts[i]:starts[i + 1]]`` (int64, ascending)
+    with ``tfs`` (int32) alongside, equal to ``decode_all`` on that row.
+    The plan mirrors the encoder's:
+
+    1. the list headers, then one block table for every selected list
+       (owning list, rank in list, payload offset, widths, sizes);
+    2. ``first_doc`` per block, then each posting's gap and tf at its
+       byte offset with one gather per width class;
+    3. one cumsum over all postings, re-based per block.
+
+    Lists of any number of blocks decode; no Python loop runs per list
+    or per block.
+    """
+    data, offs = _binary_buffers(postings)
+    buf8 = np.frombuffer(data, dtype=np.uint8)
+    rows = np.asarray(rows, dtype=np.int64)
+    base = offs[rows].astype(np.int64)           # list start bytes
+
+    # 1. headers and block table
+    L = len(rows)
+    n = _read(buf8, base, _HEADER).astype(np.int64)
+    B = _read(buf8, base + 4, _HEADER).astype(np.int64)
+    nb = _read(buf8, base + 8, _HEADER).astype(np.int64)
+    starts = np.zeros(L + 1, dtype=np.int64)
+    np.cumsum(n, out=starts[1:])
+    fb = np.zeros(L + 1, dtype=np.int64)         # first block of each list
+    np.cumsum(nb, out=fb[1:])
+    NB, N = int(fb[-1]), int(starts[-1])
+    blist = np.repeat(np.arange(L), nb)          # owning list per block
+    j = np.arange(NB) - fb[blist]                # block rank in its list
+    meta = base[blist] + 12                      # list metadata start
+    nbl = nb[blist]
+    rel = _read(buf8, meta + 12 * nbl + 4 * j, "<u4").astype(np.int64)
+    w = _read(buf8, meta + 16 * nbl + j, "<u1").astype(np.int64)
+    wd, wt = w & 0xF, w >> 4
+    pay = meta + 17 * nbl + rel                  # block payload start
+    n_b = np.minimum(n[blist] - j * B[blist], B[blist])
+
+    # 2. first_doc per block; gap (+1) and tf per posting
+    first = _read(buf8, pay, "<i8")
+    bo = np.zeros(NB + 1, dtype=np.int64)        # block output starts
+    np.cumsum(n_b, out=bo[1:])
+    bo = bo[:-1]
+    # tf of rank k after the block's gaps
+    tfs = _read_ragged(buf8, pay + 8 + wd * (n_b - 1) - wt * bo, wt,
+                       n_b).astype(np.int32)
+    # gap of rank k >= 1 at pay + 8 + wd*(k-1); rank 0 reads bytes of
+    # the block's first_doc slot, which the re-base below cancels
+    docs = _read_ragged(buf8, pay + 8 - wd * (bo + 1), wd, n_b)
+    docs += 1
+
+    # 3. one cumsum (int64 wraps, and the re-base undoes any wrap),
+    # re-based so each block starts at its first_doc
+    np.cumsum(docs, out=docs)
+    docs += np.repeat(first - docs[bo], n_b)
+    return starts, docs, tfs
+
+
 def binary_views(arr) -> list[memoryview]:
     """Zero-copy per-row memoryviews over a Binary/LargeBinary array.
 
@@ -372,12 +498,5 @@ def binary_views(arr) -> list[memoryview]:
     ``np.frombuffer`` accept any buffer protocol object). The returned
     views keep the Arrow buffer alive via their base object.
     """
-    import pyarrow as pa
-
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-    offs = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
-        arr.offset: arr.offset + len(arr) + 1]
-    data = memoryview(arr.buffers()[2])
-    return [data[offs[i]:offs[i + 1]] for i in range(len(arr))]
+    data, offs = _binary_buffers(arr)
+    return [data[offs[i]:offs[i + 1]] for i in range(len(offs) - 1)]

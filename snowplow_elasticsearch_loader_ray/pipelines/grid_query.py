@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 import ray
 
 from .. import bm25
-from ..codec import PostingList, binary_views
+from ..codec import decode_postings_batch
 from ..config import DOCLEN_TERM
 from ..tokenizer import term_shard_one
 from .build import index_stats, load_docmap
@@ -71,15 +71,21 @@ class GridCellReader:
         self.terms: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
         t = pq.read_table(os.path.join(index_dir, "segments",
                                        f"shard-{shard:04d}.parquet"))
-        for term, df, buf in zip(t["term"].to_pylist(), t["df"].to_pylist(),
-                                 binary_views(t["postings"])):
-            if term == DOCLEN_TERM:
-                continue
-            docs, tfs = PostingList(buf).decode_all()
-            mask = docs % n_doc_parts == doc_part
-            if mask.any():
+        # the whole shard in one batched decode, then this stripe's rows:
+        # list i keeps rows [kept[starts[i]], kept[starts[i + 1]])
+        starts, docs, tfs = decode_postings_batch(
+            t["postings"], np.arange(t.num_rows))
+        mask = docs % n_doc_parts == doc_part
+        kept = np.zeros(len(mask) + 1, dtype=np.int64)
+        np.cumsum(mask, out=kept[1:])
+        docs, tfs = docs[mask], tfs[mask]
+        bounds = kept[starts].tolist()
+        for i, (term, df) in enumerate(zip(t["term"].to_pylist(),
+                                           t["df"].to_pylist())):
+            lo, hi = bounds[i], bounds[i + 1]
+            if term != DOCLEN_TERM and hi > lo:
                 # global df rides along: idf must see the whole corpus
-                self.terms[term] = (int(df), docs[mask], tfs[mask])
+                self.terms[term] = (int(df), docs[lo:hi], tfs[lo:hi])
         _doc_ids, lens = load_docmap(index_dir)
         # own stripe only: ordinal p, p+P, p+2P, ... → dense local index
         self.dl_lens = lens[doc_part::n_doc_parts].astype(np.float64)
@@ -120,8 +126,8 @@ class GridCellReader:
         docs, scores = scored
         return champion_topk(
             self._champ, term, k,
-            lambda kk: bm25.rank_topk(
-                self.doc_ids[docs // self.n_doc_parts], scores, kk))
+            lambda kk: bm25.rank_topk(self.doc_ids, scores, kk,
+                                      ords=docs // self.n_doc_parts))
 
     def topk_single_many(self, terms: list[str], k: int,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:

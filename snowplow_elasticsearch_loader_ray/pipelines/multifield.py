@@ -359,7 +359,7 @@ class MultiFieldShardedEngine:
         if not matched:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         cand = np.nonzero(score_acc)[0]
-        return bm25.rank_topk(e0._doc_ids[cand], score_acc[cand], k)
+        return bm25.rank_topk(e0._doc_ids, score_acc[cand], k, ords=cand)
 
     def shutdown(self) -> None:
         for e in self.engines.values():

@@ -29,12 +29,16 @@ the rows near the k-th raw score before it rounds or gathers external
 ids (``bm25.rank_topk``).
 
 Scored lists: BM25 scorers (TAAT, MaxScore, dis_max) take each term's
-(ordinals, partials) from ``IndexReader.scored`` — the same bounded
-scored-list cache (``servecache.scored_lru``) the sharded plane's
-``ShardReader`` keeps, with the partial formula written once
-(``servecache.bm25_partials``). A term's partials are deterministic per
-index, so a cache hit is bit-identical to a fresh decode; a repeated
-head term costs a lookup instead of a decode + weigh.
+(ordinals, partials) from ``IndexReader.scored``, which looks in three
+layers, the same ones the sharded plane's ``ShardReader`` has: the
+short table, where every one-block list (most of a vocabulary) is
+decoded and weighed in one batched pass on the reader's first lookup
+(``servecache.ShortLists``); then the bounded LRU of longer lists
+(``servecache.scored_lru``); then a decode + weigh that fills the LRU
+(``servecache.scored_list``). A term's partials are deterministic per
+index and every layer computes the same floats, so a table or cache
+hit is bit-identical to a fresh decode; a tail term's first use and a
+repeated head term both cost a lookup.
 
 The ``QueryEngine`` actor holds the loaded index (term dict, doclen
 arrays, stats) — built once in ``__init__``, the stateful-actor-pool
@@ -44,6 +48,7 @@ pattern the loader uses for its sink clients
 
 from __future__ import annotations
 
+import functools
 import glob
 import heapq
 import os
@@ -57,7 +62,8 @@ from .. import bm25
 from ..codec import PostingList
 from ..config import DOCLEN_TERM
 from ..pipelines.build import index_stats
-from .servecache import bm25_partials, scored_list, scored_lru, scores_at
+from .servecache import (
+    ShortLists, bm25_partials, scored_list, scored_lru, scores_at)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -81,10 +87,12 @@ class IndexReader:
     partitioned for that, and the sharded plane's ``ShardReader`` is
     that actor.
 
-    Like a ``ShardReader`` that owned every shard, it keeps the
-    LRU scored-list cache (``scored``: term → ordinals + BM25 partials
-    under this index's stats), bounded at ``GRAFT_SHARD_HOT_POSTINGS``
-    decoded postings per term shard.
+    Like a ``ShardReader`` that owned every shard, it scores lists
+    (``scored``: term → ordinals + BM25 partials under this index's
+    stats) from two places: every one-block list, scored in one batched
+    pass on the first lookup (``servecache.ShortLists``), and an LRU of
+    longer lists, bounded at ``GRAFT_SHARD_HOT_POSTINGS`` decoded
+    postings per term shard.
 
     ``terms`` maps a term to ``(df, cf, postings, bound)``; the bound
     field is None until ``bound(term)`` first computes it.
@@ -100,14 +108,16 @@ class IndexReader:
 
         segments = sorted(glob.glob(os.path.join(index_dir, "segments",
                                                  "*.parquet")))
+        self._columns = []               # (terms, postings) per segment
         for f in segments:
             t = pq.read_table(f)
+            names = t["term"].to_pylist()
+            self._columns.append((names, t["postings"]))
             # postings stay zero-copy views over the Arrow data buffer
             # (one buffer per segment file) — warm-up copies nothing
             views = binary_views(t["postings"])
             for term, df, cf, buf in zip(
-                t["term"].to_pylist(), t["df"].to_pylist(),
-                t["cf"].to_pylist(), views,
+                names, t["df"].to_pylist(), t["cf"].to_pylist(), views,
             ):
                 if term != DOCLEN_TERM:          # legacy pseudo-term guard
                     self.terms[term] = (df, cf, buf, None)
@@ -119,18 +129,31 @@ class IndexReader:
         self.dl_min = float(self.dl_lens.min()) if len(self.dl_lens) else 1.0
         self._ext_sorted: np.ndarray | None = None
         self._ext_order: np.ndarray | None = None
-        # scored-list cache: term → (ordinals, BM25 partials) under
-        # THIS index's stats, capped per term shard (one segment file
-        # each) exactly like a pool actor that owned every shard
+        # scored-list cache for the lists of several blocks: term →
+        # (ordinals, BM25 partials) under THIS index's stats, capped
+        # per term shard (one segment file each) exactly like a pool
+        # actor that owned every shard
         self._scored = scored_lru(len(segments))
+
+    @functools.cached_property
+    def _short(self) -> ShortLists:
+        """Every one-block list (most of a vocabulary) scored in one
+        batched pass, on the first lookup rather than at load: readers
+        that only decode postings under other stats (the live chain's
+        generations, reopened on every refresh) never pay for it."""
+        return ShortLists(self, self._columns)
 
     def scored(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """The term's (ascending ordinals, BM25 partials) under this
-        index's stats, LRU-cached (``servecache.scored_lru``); None for
-        an unknown term. Partials are deterministic per (term, index),
-        so a cached list is bit-identical to a fresh decode. Scorers
-        that use other stats (the live chain's summed n_docs/avgdl) must
-        decode ``postings`` instead."""
+        index's stats; None for an unknown term. A one-block list comes
+        from the short table (``_short``), a longer one from the LRU
+        (``servecache.scored_lru``), decoded on a miss. Partials are
+        deterministic per (term, index), so either is bit-identical to
+        a fresh decode. Scorers that use other stats (the live chain's
+        summed n_docs/avgdl) must decode ``postings`` instead."""
+        hit = self._short.get(term)
+        if hit is not None:
+            return hit
         hit = self._scored.get(term)
         if hit is not None:
             return hit
@@ -152,12 +175,14 @@ class IndexReader:
         return e[3]
 
     def cached(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """``scored(term)`` if the cache holds it, else None — no decode."""
-        return self._scored.get(term)
+        """``scored(term)`` if it is scored already, else None — no decode."""
+        return self._short.get(term) or self._scored.get(term)
 
-    def cache_stats(self) -> dict[str, int]:
-        """Hits, misses, evictions and size of the scored-list cache."""
-        return self._scored.stats()
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        """The one-block table's terms, postings and bytes, and the
+        scored-list LRU's hits, misses, evictions and size."""
+        return {"short_lists": self._short.stats(),
+                "scored_lists": self._scored.stats()}
 
     def ordinals_of(self, doc_ids: np.ndarray,
                     missing: str = "raise") -> np.ndarray:
@@ -1569,8 +1594,8 @@ class QueryEngine:
         return self.health.healthy()
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
-        """Counters per serving cache (hits, misses, evictions, size)."""
-        return {"scored_lists": self.reader.cache_stats()}
+        """Counters per serving cache (``IndexReader.cache_stats``)."""
+        return self.reader.cache_stats()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         qids: list[int] = []

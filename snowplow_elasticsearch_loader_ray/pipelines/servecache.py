@@ -7,6 +7,14 @@ supplied SIZE of each value (postings count here: decoded docs +
 float64 partials cost 16 B/posting) and evicts least-recently-USED,
 not first-inserted: under a Zipf query mix the hot head term must
 survive a stream of cold one-off terms.
+
+A reader finds a term's scored list in three layers: the short table
+(``ShortLists``: every one-block list, decoded and weighed in one
+batched pass — by a ``ShardReader`` at load, by an ``IndexReader`` on
+its first lookup — so a cold tail term costs a lookup), then the
+LRU of longer lists (``scored_lru``), then a decode + weigh that fills
+the LRU (``scored_list``). Every layer computes the same floats
+(``bm25_partials``'s operations).
 """
 
 from __future__ import annotations
@@ -95,6 +103,69 @@ def scored_list(reader, pl):
     part = bm25_partials(reader, len(docs), docs, tfs)
     docs.flags.writeable = part.flags.writeable = False
     return docs, part
+
+
+class ShortLists:
+    """Every one-block posting list of a reader's segments, decoded and
+    weighed in one pass: term → (ordinals, partials) as two slices of flat,
+    read-only arrays, the same floats ``scored_list`` computes.
+
+    ``segments`` yields ``(terms, postings)`` per segment file: its
+    term strings and its ``postings`` column. One ``decode_postings_batch``
+    per segment decodes the rows ``codec.one_block_rows`` picks, and one
+    pass weighs them all: a one-block list has at most ``block_size``
+    postings, so its df — the posting count ``scored_list`` passes —
+    takes one of at most that many values, each with its idf from the
+    scalar ``bm25.idf``; the partials are then ``idf × tf_weight`` over
+    the flat arrays, the same IEEE operations per posting as
+    ``bm25_partials``. Memory is 16 B per posting, at most
+    ``16 × block_size`` B per term.
+    """
+
+    def __init__(self, reader, segments):
+        import numpy as np
+
+        from .. import bm25
+        from ..codec import decode_postings_batch, one_block_rows
+        from ..config import DOCLEN_TERM
+
+        names: list[str] = []
+        lens, docs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        tfs = [np.empty(0, np.int32)]
+        for terms, postings in segments:
+            rows = [r for r in one_block_rows(postings).tolist()
+                    if terms[r] != DOCLEN_TERM]
+            starts, d, t = decode_postings_batch(postings, rows)
+            names += [terms[r] for r in rows]
+            lens.append(np.diff(starts))
+            docs.append(d)
+            tfs.append(t)
+        n = np.concatenate(lens)
+        # list i is rows [_starts[i], _starts[i + 1]); plain ints slice
+        # faster than numpy scalars
+        self._starts = [0] + np.cumsum(n).tolist()
+        self._row = dict(zip(names, range(len(names))))
+        self.docs = np.concatenate(docs)
+        tfs = np.concatenate(tfs)
+        dfs, inv = np.unique(n, return_inverse=True)
+        idf = np.array([bm25.idf(reader.n_docs, int(df)) for df in dfs],
+                       dtype=np.float64)
+        self.partials = np.repeat(idf[inv], n) * bm25.tf_weight(
+            tfs, reader.dl_lens[self.docs], reader.avgdl)
+        self.docs.flags.writeable = self.partials.flags.writeable = False
+
+    def get(self, term: str):
+        """The term's (ordinals, partials) if its list is one block, else
+        None — two slices, no decode."""
+        i = self._row.get(term)
+        if i is None:
+            return None
+        lo, hi = self._starts[i], self._starts[i + 1]
+        return self.docs[lo:hi], self.partials[lo:hi]
+
+    def stats(self) -> dict[str, int]:
+        return {"terms": len(self._row), "postings": len(self.docs),
+                "bytes": self.docs.nbytes + self.partials.nbytes}
 
 
 def scores_at(docs, values, cand):

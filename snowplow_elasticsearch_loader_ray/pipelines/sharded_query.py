@@ -46,6 +46,7 @@ from .query import tokenize_query
 from .servecache import (
     CappedLRU,
     RequestCache,
+    ShortLists,
     bm25_partials,
     champion_topk,
     dense_combine,
@@ -81,24 +82,29 @@ class ShardReader:
         # over each segment's single Arrow data buffer)
         from ..codec import binary_views
 
+        columns = []                     # (terms, postings) per shard
         for shard in shards:
             t = pq.read_table(os.path.join(index_dir, "segments",
                                            f"shard-{shard:04d}.parquet"))
-            for term, buf in zip(t["term"].to_pylist(),
-                                 binary_views(t["postings"])):
+            names = t["term"].to_pylist()
+            columns.append((names, t["postings"]))
+            for term, buf in zip(names, binary_views(t["postings"])):
                 if term != DOCLEN_TERM:
                     self.terms[term] = buf
         self.doc_ids, lens = load_docmap(index_dir)
         self.dl_lens = lens.astype(np.float64)
-        # hot-list cache: term → (doc ordinals, BM25 partials), the
-        # same scored-list cache ``IndexReader.scored`` keeps for the
-        # single reader (``servecache.scored_lru``, capped per owned
-        # shard). Both are deterministic per (term, corpus), so caching
-        # cannot change a score bit; a Zipf head term costs its df
-        # every query otherwise — decode + weigh 10^6 postings was the
-        # sharded plane's p99 at 1M docs. The serving-cache role of the
+        # the same two scored-list layers ``IndexReader.scored`` has:
+        # every one-block list scored at load in one batched pass
+        # (``servecache.ShortLists``), then a hot-list LRU of longer
+        # lists: term → (doc ordinals, BM25 partials)
+        # (``servecache.scored_lru``, capped per owned shard). Both are
+        # deterministic per (term, corpus), so neither can change a
+        # score bit; a Zipf head term costs its df every query
+        # otherwise — decode + weigh 10^6 postings was the sharded
+        # plane's p99 at 1M docs. The serving-cache role of the
         # reference's ES node (filesystem + query cache) — here
         # explicit and bounded.
+        self._short = ShortLists(self, columns)
         self._n_owned = len(shards)
         self._hot: CappedLRU = scored_lru(self._n_owned)
         # champion lists (lazy impact ordering): per-term ranked
@@ -110,6 +116,9 @@ class ShardReader:
             size_of=lambda v: max(1, len(v[0])))
 
     def _scored(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        hit = self._short.get(term)
+        if hit is not None:
+            return hit
         hit = self._hot.get(term)
         if hit is not None:
             return hit
@@ -117,6 +126,12 @@ class ShardReader:
         if buf is None:
             return None
         return self._hot.put(term, scored_list(self, PostingList(buf)))
+
+    def cache_stats(self) -> dict[str, dict[str, int]]:
+        """The one-block table's terms, postings and bytes, and the
+        scored-list LRU's counters (as ``IndexReader.cache_stats``)."""
+        return {"short_lists": self._short.stats(),
+                "scored_lists": self._hot.stats()}
 
     def topk_single(self, term: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Single-term top-k ranked ON the shard — ships k rows instead
@@ -189,7 +204,7 @@ class ShardReader:
         of the driver-side MaxScore plan. ``cand`` sorted ascending."""
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for t in terms:
-            hot = self._hot.get(t)
+            hot = self._short.get(t) or self._hot.get(t)
             if hot is not None:                  # already decoded+scored:
                 docs, scores = scores_at(*hot, cand)  # intersect, no decode
             elif (buf := self.terms.get(t)) is not None:

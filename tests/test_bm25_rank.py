@@ -36,6 +36,20 @@ def test_rank_topk_all_one_class():
     np.testing.assert_array_equal(d, np.arange(1, 11))
 
 
+def test_rank_topk_nan_score_keeps_k_hits():
+    # np.partition ranks NaN highest: without the NaN check both cuts
+    # took the k-th score one row too low and returned 9 hits
+    scores = np.append(np.linspace(1, 2, 200), np.nan)
+    doc_ids = np.arange(len(scores), dtype=np.int64)
+    _check(doc_ids, scores, 10)
+    d, _ = rank_topk(doc_ids, scores, 10)
+    assert len(d) == 10
+    # the NaN in the middle of the rows, and a tie class past 4k + 64
+    _check(doc_ids[::-1].copy(), scores, 10)
+    ties = np.append(np.full(300, 0.5), [np.nan, 2.0])
+    _check(np.arange(len(ties), dtype=np.int64)[::-1].copy(), ties, 10)
+
+
 def test_rank_topk_random_matches_brute():
     rng = np.random.default_rng(17)
     for n in (3, 50, 700, 20_000):

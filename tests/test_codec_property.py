@@ -147,3 +147,71 @@ def test_single_block_decode_matches_general_path(block_size, data, start):
         assert d.tolist() == sd.tolist() and t.tolist() == st_.tolist()
     assert d.flags.writeable and t.flags.writeable
     assert d.base is None and t.base is None        # not views of the buffer
+
+
+# byte width → (smallest, largest) value that takes it; a tf is < 2^31
+# (the encoder rejects more), so tfs span widths 1, 2 and 4
+_WIDTH_RANGES = {1: (0, 255), 2: (256, 65_535), 4: (65_536, (1 << 31) - 1),
+                 8: (1 << 32, 1 << 36)}
+
+
+@st.composite
+def _width_list(draw, block_size):
+    """One posting list of length 0, 1, B, B + 1 or up to 3B whose gaps
+    (minus one) and tfs are drawn per posting from a few byte-width
+    classes, so blocks of one list carry different widths."""
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, block_size, block_size + 1, 3 * block_size]),
+        st.integers(0, 3 * block_size)))
+    gap_w = draw(st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1,
+                          max_size=2))
+    tf_w = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=2))
+    gaps, tfs = [], []
+    for _ in range(n):
+        lo, hi = _WIDTH_RANGES[draw(st.sampled_from(gap_w))]
+        gaps.append(1 + draw(st.integers(lo, hi)))
+        lo, hi = _WIDTH_RANGES[draw(st.sampled_from(tf_w))]
+        tfs.append(max(1, draw(st.integers(lo, hi))))
+    first = draw(st.integers(0, 1 << 40))
+    return (first + np.cumsum(np.array(gaps, dtype=np.int64)),
+            np.array(tfs, dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_size=st.sampled_from([1, 3, 8]), data=st.data())
+def test_batch_decode_inverts_batch_encode(block_size, data):
+    """``decode_postings_batch`` over any subset of a segment's rows (in
+    any order, repeats allowed) returns each row's list exactly as it
+    was encoded by ``encode_postings_batch`` and as ``decode_all``
+    decodes it; ``one_block_rows`` picks the lists of exactly one
+    block."""
+    import pyarrow as pa
+
+    from snowplow_elasticsearch_loader_ray.codec import (
+        decode_postings_batch, one_block_rows)
+
+    lists = data.draw(st.lists(_width_list(block_size), min_size=1,
+                               max_size=8))
+    lens = np.array([len(d) for d, _ in lists], dtype=np.int64)
+    ends = np.cumsum(lens)
+    buf, offs = encode_postings_batch(
+        np.concatenate([d for d, _ in lists]),
+        np.concatenate([t for _, t in lists]), ends - lens, ends,
+        block_size=block_size)
+    rows_b = [b"junk"] + [buf[offs[i]:offs[i + 1]].tobytes()
+                          for i in range(len(lists))]
+    column = pa.array(rows_b, pa.binary())[1:]   # a sliced array: offset 1
+    rows = data.draw(st.lists(st.integers(0, len(lists) - 1), max_size=12))
+    starts, docs, tfs = decode_postings_batch(column, rows)
+    assert docs.dtype == np.int64 and tfs.dtype == np.int32
+    assert len(starts) == len(rows) + 1 and starts[-1] == len(docs)
+    for i, r in enumerate(rows):
+        d, t = lists[r]
+        got_d = docs[starts[i]:starts[i + 1]]
+        got_t = tfs[starts[i]:starts[i + 1]]
+        assert got_d.tolist() == d.tolist() and got_t.tolist() == t.tolist()
+        want_d, want_t = PostingList(rows_b[r + 1]).decode_all()
+        assert got_d.tolist() == want_d.tolist()
+        assert got_t.tolist() == want_t.tolist()
+    assert one_block_rows(column).tolist() == [
+        i for i, n in enumerate(lens) if 0 < n <= block_size]

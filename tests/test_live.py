@@ -74,7 +74,7 @@ def test_live_search_ignores_generation_scored_lists(tmp_path):
 
     from snowplow_elasticsearch_loader_ray.pipelines.build import build_index
     from snowplow_elasticsearch_loader_ray.pipelines.query import (
-        QueryEngine, score_maxscore, score_taat)
+        QueryEngine, score_maxscore, score_taat, tokenize_query)
 
     live = LiveIndex(str(tmp_path / "live"), CFG)
     live.refresh(_stream(tmp_path, "s1", DOCS_A))
@@ -93,7 +93,11 @@ def test_live_search_ignores_generation_scored_lists(tmp_path):
         for q in queries:
             score_taat(r, q, 5)
             score_maxscore(r, q, 5)
-        assert r.cache_stats()["entries"] > 0
+        # the reader holds scored lists under its own stats for the
+        # queried terms: its short table (every list here is one block)
+        assert r.cache_stats()["short_lists"]["terms"] > 0
+        assert any(r.cached(t) is not None
+                   for q in queries for t in tokenize_query(q))
     for q in queries:
         d1, sc1 = s.topk(q, 5)
         d2, sc2 = eng.topk(q, 5)

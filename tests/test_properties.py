@@ -108,10 +108,11 @@ def test_quantize_positive_and_monotone(vals):
     assert np.all(np.abs(back - e[0].astype(np.float64)) <= 1.0 / KM_SCALE)
 
 
-def _random_index(root: str, seed: int) -> str:
+def _random_index(root: str, seed: int, block_size: int = 128) -> str:
     """A small random corpus built in process: ``head`` in every doc, a
     few mid terms and a Zipf tail of rare terms, so head+tail queries
-    reach MaxScore's prune path. Returns the index dir."""
+    reach MaxScore's prune path. ``block_size`` changes only the block
+    layout of the postings. Returns the index dir."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -133,7 +134,8 @@ def _random_index(root: str, seed: int) -> str:
                    os.path.join(root, "docs.parquet"))
     idx = os.path.join(root, "index")
     build_index(os.path.join(root, "docs.parquet"), idx,
-                IndexConfig(num_term_shards=int(rng.integers(1, 4))))
+                IndexConfig(num_term_shards=int(rng.integers(1, 4)),
+                            block_size=block_size))
     return idx
 
 
@@ -206,13 +208,17 @@ def test_scored_list_cache_bit_identical_to_cache_free_taat(seed):
     """``score_taat``, ``score_maxscore`` and ``score_dismax`` through the
     reader's scored-list cache equal a cache-free TAAT bit for bit — on a
     cold reader, on the same reader warm after the whole stream, and on
-    a reader whose 1-posting-per-shard cap evicts on every put. Each
-    term's MaxScore bound, computed on first use and kept in its term
-    entry, is >= every partial of the term."""
+    a reader whose 1-posting-per-shard cap evicts on every put. One-block
+    lists serve from the short table, never the LRU, so the evicting
+    reader reads the same corpus in blocks of 8 postings: its lists of
+    several blocks go through the LRU. Each term's MaxScore bound, computed on
+    first use and kept in its term entry, is >= every partial of the
+    term."""
     import tempfile
 
     import pytest
 
+    from snowplow_elasticsearch_loader_ray.codec import PostingList
     from snowplow_elasticsearch_loader_ray.pipelines.query import (
         IndexReader, _taat_scores_ords, score_dismax, score_maxscore,
         score_taat)
@@ -221,9 +227,11 @@ def test_scored_list_cache_bit_identical_to_cache_free_taat(seed):
         idx = _random_index(root, seed)
         reader = IndexReader(idx)
         assert all(e[3] is None for e in reader.terms.values())
+        os.mkdir(b8 := os.path.join(root, "b8"))
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("GRAFT_SHARD_HOT_POSTINGS", "1")
-            evicting = IndexReader(idx)
+            evicting = IndexReader(_random_index(b8, seed, block_size=8))
+        assert sorted(evicting.terms) == sorted(reader.terms)
         stream = _query_stream(seed, sorted(reader.terms))
         for r in (reader, reader, evicting):    # cold, warm, evicting
             for q, k in stream:
@@ -240,7 +248,12 @@ def test_scored_list_cache_bit_identical_to_cache_free_taat(seed):
                 want = _reference_topk(r, q, k, tie_breaker=0.3)
                 assert d.tolist() == want[0].tolist(), q
                 assert s.tolist() == want[1].tolist(), q
-        assert evicting.cache_stats()["evictions"] > 0
+        for r in (reader, evicting):
+            short = sum(PostingList(e[2]).n_blocks == 1
+                        for e in r.terms.values())
+            assert r.cache_stats()["short_lists"]["terms"] == short > 0
+        # "head" is in every doc (>= 20): several blocks of 8
+        assert evicting.cache_stats()["scored_lists"]["evictions"] > 0
         for t in sorted(reader.terms):
             ub = reader.bound(t)
             assert reader.terms[t][3] == ub      # kept in the entry

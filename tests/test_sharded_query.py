@@ -101,6 +101,73 @@ def test_msearch_bit_identical_to_per_query_topk(ray_session, tmp_path):
             eng.shutdown()
 
 
+def test_short_lists_equal_scored_list(ray_session, tmp_path):
+    """Every one-block list, scored at load in one batched pass, equals
+    ``servecache.scored_list`` (decode_all + bm25_partials) byte for
+    byte — in the single reader and in a ShardReader actor — and serves
+    without touching the scored-list LRU; lists of several blocks still
+    go through the LRU."""
+    import ray
+
+    from snowplow_elasticsearch_loader_ray.codec import PostingList
+    from snowplow_elasticsearch_loader_ray.pipelines.query import IndexReader
+    from snowplow_elasticsearch_loader_ray.pipelines.servecache import (
+        scored_list)
+    from snowplow_elasticsearch_loader_ray.pipelines.sharded_query import (
+        ShardReader)
+    from snowplow_elasticsearch_loader_ray.tokenizer import term_shard_one
+
+    idx = str(tmp_path / "sidx")
+    B.build_index("/root/testdata/sf0.001/documents.parquet", idx,
+                  IndexConfig(num_term_shards=4))
+    reader = IndexReader(idx)
+    want = {t: scored_list(reader, PostingList(e[2]))
+            for t, e in reader.terms.items()}
+    short = sorted(t for t, e in reader.terms.items()
+                   if PostingList(e[2]).n_blocks == 1)
+    assert 0 < len(short) < len(want)          # both kinds of list occur
+
+    def same(got, t):
+        return all(g.tobytes() == w.tobytes() and g.dtype == w.dtype
+                   for g, w in zip(got, want[t]))
+
+    for t in short:
+        got = reader.scored(t)
+        assert same(got, t), t
+        assert not (got[0].flags.writeable or got[1].flags.writeable)
+        assert reader.cached(t) is not None
+    stats = reader.cache_stats()
+    assert stats["short_lists"] == {
+        "terms": len(short),
+        "postings": sum(len(want[t][0]) for t in short),
+        "bytes": 16 * sum(len(want[t][0]) for t in short)}
+    assert stats["scored_lists"]["misses"] == 0
+    long = sorted(set(want) - set(short))
+    for t in long:
+        assert same(reader.scored(t), t), t
+    assert reader.cache_stats()["scored_lists"]["entries"] == len(long)
+
+    actor = ShardReader.options(num_cpus=0.1).remote(idx, [1, 3], 4)
+    try:
+        own = [t for t in want if term_shard_one(t, 4) in (1, 3)]
+        got = ray.get(actor.partial_scores.remote(
+            [t for t in own if t in short]))
+        assert sorted(got) == sorted(t for t in own if t in short)
+        for t, hit in got.items():
+            assert same(hit, t), t
+        stats = ray.get(actor.cache_stats.remote())
+        assert stats["short_lists"]["terms"] == len(got)
+        assert stats["scored_lists"]["misses"] == 0
+        got = ray.get(actor.partial_scores.remote(own))
+        assert sorted(got) == sorted(own)
+        for t, hit in got.items():
+            assert same(hit, t), t
+        stats = ray.get(actor.cache_stats.remote())["scored_lists"]
+        assert stats["entries"] == len([t for t in own if t not in short])
+    finally:
+        ray.kill(actor)
+
+
 def test_serving_caches_bit_identical(ray_session, tmp_path):
     """Champion lists + request cache: warm repeats, varied k order and
     deep-k champion bypass all return the single reader's exact arrays,
