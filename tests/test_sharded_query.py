@@ -117,8 +117,20 @@ def test_short_lists_equal_scored_list(ray_session, tmp_path):
         ShardReader)
     from snowplow_elasticsearch_loader_ray.tokenizer import term_shard_one
 
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    # "head" in all 300 docs (three blocks), mid terms in about half,
+    # a tail of rare terms in a few
+    rng = np.random.default_rng(3)
+    texts = [" ".join(["head"] + [f"mid{m}" for m in range(8)
+                                  if rng.random() < 0.5]
+                      + [f"t{int(z)}" for z in rng.zipf(1.3, 4) if z < 400])
+             for _ in range(300)]
+    pq.write_table(pa.table({"doc_id": pa.array(np.arange(300) * 7 + 1),
+                             "text": texts}), str(tmp_path / "docs.parquet"))
     idx = str(tmp_path / "sidx")
-    B.build_index("/root/testdata/sf0.001/documents.parquet", idx,
+    B.build_index(str(tmp_path / "docs.parquet"), idx,
                   IndexConfig(num_term_shards=4))
     reader = IndexReader(idx)
     want = {t: scored_list(reader, PostingList(e[2]))
@@ -150,6 +162,8 @@ def test_short_lists_equal_scored_list(ray_session, tmp_path):
     actor = ShardReader.options(num_cpus=0.1).remote(idx, [1, 3], 4)
     try:
         own = [t for t in want if term_shard_one(t, 4) in (1, 3)]
+        assert any(t in short for t in own) and any(t not in short
+                                                    for t in own)
         got = ray.get(actor.partial_scores.remote(
             [t for t in own if t in short]))
         assert sorted(got) == sorted(t for t in own if t in short)
