@@ -35,7 +35,9 @@ counters. No stage starts a Ray Data execution.
    SURVEY.md C1), and the file count stays at one per input file (not
    files × shards).
 
-3. **phase 2 — segments**: one Ray task per contiguous shard group
+3. **phase 2 — segments**: one Ray task per contiguous shard group —
+   groups sized by the run manifests' postings estimate
+   (``PHASE2_GROUP_POSTINGS``, independent of the cluster size) —
    reads the run files, in ordinal order, with a shard-range filter (row-group
    statistics prune to the group's share of each file), orders each
    shard's rows by term (ords already arrive ascending within a term),
@@ -528,9 +530,11 @@ def _encode_shard_group(index_dir: str, shards: list[int],
     two shards is read by both their tasks; a range filter reads it
     once). The encode itself is one batched pass per shard
     (``codec.encode_postings_batch``: a few ms for a 25k-posting
-    shard), so at small corpora this setup is most of the task; at
-    10^12 docs each shard is huge and ``build_segments`` sizes groups
-    back down to 1 via the run-manifest postings estimate. Idempotent per shard
+    shard), so at small corpora this setup is most of the task;
+    ``_plan_shard_groups`` gives each task about
+    ``PHASE2_GROUP_POSTINGS`` estimated postings, which is one task for
+    a small corpus and one shard per task once a shard alone holds that
+    many. Idempotent per shard
     (tmp+rename writes, manifests committed by the caller), so a retry
     mid-group re-writes at most already-written files."""
     import pyarrow.dataset as pads
@@ -595,37 +599,27 @@ def _encode_shard_group(index_dir: str, shards: list[int],
     return payloads
 
 
-#: cap on one phase-2 group's estimated in-memory posting rows (~16 B
-#: per row across the term-dict/ord/tf columns → ~1 GiB at the cap).
-#: At 10^12-doc scale the per-shard estimate alone exceeds this and
-#: groups degenerate to single shards (the round-2 behavior).
-GROUP_MAX_ROWS = 64_000_000
-
-#: floor on the phase-2 task count. Below this many CPU slots the task
-#: layout is CLUSTER-SIZE-INDEPENDENT: the N-vs-4N scaling comparison
-#: must run the IDENTICAL job at both parallelism levels, and a
-#: slot-derived group size would hand the narrow leg a cheaper job
-#: (more setup amortization per task) and corrupt the measured
-#: efficiency — observed as a systematic ~0.74 ratio when the 2-CPU
-#: leg ran 4 tasks against the 8-CPU leg's 16. It also keeps resume
-#: granularity and straggler balance reasonable on small clusters.
-MIN_PHASE2_TASKS = 16
+#: phase-2 task size, in estimated postings (the run-manifest counter
+#: spread evenly over the shards). Each task pays a fixed set-up — task
+#: dispatch, opening and footer-pruning every run file — of about 3 ms,
+#: then reads, encodes and writes about 5 M postings/s on one CPU
+#: (BASELINE.md "Phase-2 tasks sized by postings"), so a 2^20-posting
+#: task (~190 ms, ~16 MiB of term-dict/ord/tf rows) spends under 2% of
+#: its wall on set-up.
+#: The layout depends only on the corpus, never on the cluster size, so
+#: an N-vs-4N scaling comparison runs the identical job at both levels.
+PHASE2_GROUP_POSTINGS = 1 << 20
 
 
 def _plan_shard_groups(missing: list[int], num_shards: int,
-                       est_total_postings: int, cpu_slots: int) -> list[list[int]]:
-    """Contiguous groups of missing shards for phase-2 tasks.
-
-    Targets max(MIN_PHASE2_TASKS, 2 × cpu_slots) tasks so the per-task
-    scan setup amortizes at small corpora without creating stragglers
-    (and without depending on cluster size below 8 slots — see
-    MIN_PHASE2_TASKS), bounded by GROUP_MAX_ROWS via the run-manifest
-    postings estimate. Groups never span a gap in ``missing`` — the
-    range filter must not re-read committed shards' row groups."""
+                       est_total_postings: int) -> list[list[int]]:
+    """Contiguous groups of missing shards for phase-2 tasks, each of
+    about ``PHASE2_GROUP_POSTINGS`` estimated postings: a corpus under
+    the target is one task, a shard over it is a task of its own.
+    Groups never span a gap in ``missing`` — the range filter must not
+    re-read committed shards' row groups."""
     per_shard = max(1, est_total_postings // max(1, num_shards))
-    max_group = max(1, min(len(missing), GROUP_MAX_ROWS // per_shard))
-    target_tasks = max(MIN_PHASE2_TASKS, 2 * cpu_slots)
-    size = max(1, min(max_group, (len(missing) + target_tasks - 1) // target_tasks))
+    size = max(1, PHASE2_GROUP_POSTINGS // per_shard)
     groups: list[list[int]] = []
     cur: list[int] = []
     for s in missing:
@@ -646,8 +640,7 @@ def build_segments(index_dir: str, cfg: IndexConfig) -> None:
         return
     est = sum(m["counters"].get("postings", 0)
               for m in mf.load_all(man_dir, prefix="runs-part-").values())
-    cpu_slots = int(ray.cluster_resources().get("CPU", 1))
-    groups = _plan_shard_groups(missing, cfg.num_term_shards, est, cpu_slots)
+    groups = _plan_shard_groups(missing, cfg.num_term_shards, est)
     refs = [_encode_shard_group.remote(index_dir, g, cfg.block_size)
             for g in groups]
     for g, payloads in zip(groups, ray.get(refs)):

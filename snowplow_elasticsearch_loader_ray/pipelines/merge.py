@@ -305,10 +305,8 @@ def _reshard_scatter(in_dir: str, out_dir: str, in_shard: int,
         t = pq.read_table(path)
         n_terms = t.num_rows
         if t.num_rows:
-            terms = t["term"]
-            if isinstance(terms, pa.ChunkedArray):
-                terms = terms.combine_chunks()
-            tgt = term_shards(terms, new_shards)
+            # a segment holds each term once: hash the column as is
+            tgt = term_shards(t["term"], new_shards)
             for s in np.unique(tgt):
                 part = t.filter(pa.array(tgt == s))
                 out = os.path.join(

@@ -45,7 +45,7 @@ import ray
 
 from ..config import IndexConfig, DEFAULT_CONFIG
 from ..state import manifest as mf
-from ..tokenizer import term_shard_one, tokenize_to_terms
+from ..tokenizer import term_shard_one, term_shards, tokenize_to_terms
 from .build import _input_files
 from .servecache import group_by_reader, reader_pool
 
@@ -102,9 +102,7 @@ class TokenizePositions:
         offsets = np.concatenate((gstarts, [n])).astype(np.int32)
 
         # shard per group: hash each unique term once (small vocab)
-        lut = np.fromiter(
-            (term_shard_one(t, self.num_shards) for t in vocab.to_pylist()),
-            dtype=np.int32, count=len(vocab))
+        lut = term_shards(vocab, self.num_shards)
         g_tid = stid[gstarts]
         g_shard = lut[g_tid]
         g_doc = doc_ids[sidx[gstarts]]

@@ -22,15 +22,19 @@ search per posting at query time).
 
 Hot-path design (this stage dominates build CPU — see BASELINE.md):
 after tokenization the chunk works entirely on integers — terms are
-dictionary-encoded once, the vocabulary is ranked by (shard, first
-occurrence), and one ``np.unique`` over ``rank*n_docs + row`` composite
-keys both counts tf and emits the postings in output order (ordinals
-increase with the row, so row order is ord order). No per-posting
-string is hashed or sorted: the term column is built as a
-``DictionaryArray`` over the chunk vocabulary, and only the final cast
-to ``pa.string()`` (the run-file schema) materializes one string per
-posting. Writing the dictionary-typed column instead was measured
-slower (50 → 75 ms per build round), so the cast stays.
+dictionary-encoded once, each vocabulary entry is hashed to its shard
+straight from the dictionary's Arrow offsets and data buffers
+(``tokenizer.term_shards``: blake2b over ``bytes`` slices), the
+vocabulary is ranked by (shard, first occurrence), and one
+``np.unique`` over ``rank*n_docs + row`` composite keys both counts tf
+and emits the postings in output order (ordinals increase with the
+row, so row order is ord order). No Python string is made per
+vocabulary term, and no per-posting string is hashed or sorted: the
+term column is built as a ``DictionaryArray`` over that same Arrow
+dictionary (plus the docmap rows' empty placeholder), and only the
+final cast to ``pa.string()`` (the run-file schema) materializes one
+string per posting. Writing the dictionary-typed column instead was
+measured slower (50 → 75 ms per build round), so the cast stays.
 
 The chunk output is sorted by (shard, term, ord) — docmap rows
 (shard = -1) lead — which keeps the run files shard-clustered per row
@@ -44,7 +48,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
-from ..tokenizer import term_shard_one, tokenize_to_terms
+from ..tokenizer import term_shards, tokenize_to_terms
 
 RUN_SCHEMA = pa.schema(
     [
@@ -82,16 +86,13 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
     if isinstance(flat, pa.ChunkedArray):
         flat = flat.combine_chunks()
     enc = flat.dictionary_encode()
-    vocab: list[str] = enc.dictionary.to_pylist()
+    vocab = enc.dictionary
     didx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
 
     # shard per unique term, once (vocab is tiny vs postings); rank the
     # vocabulary by (shard, first occurrence) — the dictionary order is
     # first occurrence, so one stable argsort of the shard table does it
-    shard_lut = np.fromiter(
-        (term_shard_one(t, cfg.num_term_shards) for t in vocab),
-        dtype=np.int32, count=len(vocab),
-    )
+    shard_lut = term_shards(vocab, cfg.num_term_shards)
     by_rank = np.argsort(shard_lut, kind="stable")
     rank = np.empty(len(vocab), dtype=np.int64)
     rank[by_rank] = np.arange(len(vocab), dtype=np.int64)
@@ -109,7 +110,7 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
     term_col = pa.DictionaryArray.from_arrays(
         pa.array(np.concatenate(
             [np.full(n_docs, len(vocab)), row_tidx]).astype(np.int32)),
-        pa.array(vocab + [""], type=pa.string()),
+        pa.concat_arrays([vocab, pa.array([""], vocab.type)]),
     )
     if langs is not None:
         lang_col = pa.concat_arrays(

@@ -61,23 +61,25 @@ def doc_shard(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
     return (x % np.uint64(num_shards)).astype(np.int32)
 
 
-def term_shards(terms: pa.Array, num_shards: int) -> np.ndarray:
-    """Vectorized-ish term→shard: hash each *unique* term once.
+def term_shards(terms: pa.Array | pa.ChunkedArray, num_shards: int) -> np.ndarray:
+    """``term_shard_one`` for every entry of a (large_)string array.
 
-    ``dictionary_encode`` collapses the batch to its (small) vocabulary;
-    the Python loop runs per unique term, not per posting.
-    """
-    d = pc.dictionary_encode(terms)
-    if isinstance(d, pa.ChunkedArray):
-        d = d.combine_chunks()
-    dict_vals = d.dictionary.to_pylist()
-    lut = np.fromiter(
-        (term_shard_one(t, num_shards) for t in dict_vals),
-        dtype=np.int32,
-        count=len(dict_vals),
-    )
-    idx = d.indices.to_numpy(zero_copy_only=False)
-    return lut[idx]
+    Hashes ``bytes`` slices of the Arrow data buffer at the array's
+    offsets, so no Python ``str`` is made per term; the digests are
+    joined and reduced in numpy. Callers pass a vocabulary (unique
+    terms): the cost is one blake2b call per entry."""
+    if isinstance(terms, pa.ChunkedArray):
+        terms = terms.combine_chunks()
+    _validity, offsets, data = terms.buffers()
+    width = np.int64 if pa.types.is_large_string(terms.type) else np.int32
+    offs = np.frombuffer(offsets, dtype=width)[
+        terms.offset:terms.offset + len(terms) + 1].tolist()
+    buf = memoryview(data) if data is not None else b""
+    blake2b = hashlib.blake2b
+    digests = b"".join([blake2b(buf[s:e], digest_size=8).digest()
+                        for s, e in zip(offs[:-1], offs[1:])])
+    h = np.frombuffer(digests, dtype="<u8")
+    return (h % np.uint64(num_shards)).astype(np.int32)
 
 
 def _blank_separators(lowered: pa.Array) -> pa.Array:

@@ -337,28 +337,34 @@ def test_dismax_tiebreaker_one_equals_taat(built):
 
 
 def test_plan_shard_groups():
-    plan = B._plan_shard_groups
-    # covers all missing shards, in order, contiguously
-    g = plan(list(range(32)), 32, est_total_postings=32_000, cpu_slots=2)
+    import inspect
+    plan, target = B._plan_shard_groups, B.PHASE2_GROUP_POSTINGS
+    # the layout depends on the corpus only: no cluster input, so an
+    # N-vs-4N scaling comparison runs the identical job at both levels
+    assert list(inspect.signature(plan).parameters) == [
+        "missing", "num_shards", "est_total_postings"]
+    assert "cluster_resources" not in inspect.getsource(B.build_segments)
+    # an estimate under the target is one task
+    assert plan(list(range(32)), 32, est_total_postings=32_000) == [
+        list(range(32))]
+    assert plan(list(range(32)), 32, target - 1) == [list(range(32))]
+    # groups hold about `target` estimated postings, contiguously
+    g = plan(list(range(32)), 32, est_total_postings=8 * target)
     assert [s for grp in g for s in grp] == list(range(32))
     assert all(grp == list(range(grp[0], grp[0] + len(grp))) for grp in g)
-    # small clusters get the CLUSTER-SIZE-INDEPENDENT layout: 16 tasks
-    # of 2 shards, identical at 2 and 8 slots (scaling A/B fairness)
-    assert len(g) == 16 and all(len(grp) == 2 for grp in g)
-    assert plan(list(range(32)), 32, 32_000, cpu_slots=8) == g
-    # big clusters scale the task count up: 2 waves over 32 slots
-    g32 = plan(list(range(32)), 32, 32_000, cpu_slots=32)
-    assert all(len(grp) == 1 for grp in g32)
-    # memory cap degrades groups to single shards when shards are huge
-    g = plan(list(range(32)), 32, est_total_postings=32 * B.GROUP_MAX_ROWS,
-             cpu_slots=2)
-    assert all(len(grp) == 1 for grp in g)
+    assert len(g) == 8 and all(len(grp) == 4 for grp in g)
+    # a shard whose estimate exceeds the target is a group of its own
+    g = plan(list(range(32)), 32, est_total_postings=32 * (target + 1))
+    assert g == [[s] for s in range(32)]
     # gaps in the missing list (resume) never fall inside one group:
     # the range filter must not re-read committed shards' row groups
     missing = [0, 1, 2, 5, 6, 9]
-    g = plan(missing, 32, est_total_postings=1000, cpu_slots=1)
+    g = plan(missing, 32, est_total_postings=1000)
+    assert g == [[0, 1, 2], [5, 6], [9]]
+    g = plan(missing, 32, est_total_postings=16 * target)
     assert [s for grp in g for s in grp] == missing
     assert all(grp == list(range(grp[0], grp[0] + len(grp))) for grp in g)
+    assert all(len(grp) <= 2 for grp in g)
 
 
 def test_grouped_encode_matches_single_shard(built):

@@ -29,12 +29,20 @@ def test_token_counts_matches_python():
     np.testing.assert_array_equal(token_counts(pa.array(texts)), expected)
 
 
-def test_term_shards_deterministic_and_matching_scalar():
-    terms = pa.array(["alpha", "beta", "alpha", "gamma"])
-    s = term_shards(terms, 16)
-    assert s[0] == s[2] == term_shard_one("alpha", 16)
-    assert s[1] == term_shard_one("beta", 16)
-    assert all(0 <= v < 16 for v in s)
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(st.text(max_size=12), max_size=20),
+       lo=st.integers(0, 6), cut=st.integers(0, 6),
+       large=st.booleans(), n=st.integers(1, 64))
+def test_term_shards_deterministic_and_matching_scalar(terms, lo, cut, large, n):
+    """The buffer-sliced hash equals the scalar hash entry by entry:
+    any Unicode (``""`` included), sliced arrays, both offset widths."""
+    arr = pa.array(["alpha", "beta", *terms, "alpha", ""],
+                   pa.large_string() if large else pa.string())
+    arr = arr.slice(min(lo, len(arr)), max(0, len(arr) - lo - cut))
+    s = term_shards(arr, n)
+    assert s.dtype == np.int32 and len(s) == len(arr)
+    assert s.tolist() == [term_shard_one(t, n) for t in arr.to_pylist()]
+    assert all(0 <= v < n for v in s)
 
 
 def test_doc_shard_balanced():
