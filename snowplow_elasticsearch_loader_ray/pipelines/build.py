@@ -2,7 +2,7 @@
 
 Physical plan (SURVEY.md §7.3). Every stage is plain Ray tasks over the
 Arrow batch kernels (``ExtractTransform``, ``TokenizeFilePostings``,
-``encode_shard_table``): one task runs a whole fused read → kernel →
+``encode_shard_tables``): one task runs a whole fused read → kernel →
 write pipeline over its slice of the input (the Velox driver model,
 PAPERS.md), and the driver only plans, commits manifests and rolls up
 counters. No stage starts a Ray Data execution.
@@ -39,9 +39,10 @@ counters. No stage starts a Ray Data execution.
    groups sized by the run manifests' postings estimate
    (``PHASE2_GROUP_POSTINGS``, independent of the cluster size) —
    reads the run files, in ordinal order, with a shard-range filter (row-group
-   statistics prune to the group's share of each file), orders each
-   shard's rows by term (ords already arrive ascending within a term),
-   delta/FOR-encodes posting blocks with block-max metadata and
+   statistics prune to the group's share of each file), orders all the
+   group's rows by (shard, term) with ONE stable sort (ords already
+   arrive ascending within a term), cuts each shard's lists out of that
+   order, delta/FOR-encodes posting blocks with block-max metadata and
    commits ``segments/shard-j.parquet`` + manifest. Ordinal keys make
    the average delta gap n_docs/df (vs 2^63/n for raw 64-bit id
    hashes), so postings land at ~1-2 B each instead of ~9.
@@ -63,6 +64,7 @@ import re
 import shutil
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -71,7 +73,7 @@ import ray
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
 from ..stages.extract import ExtractTransform
 from ..stages.postings import RUN_SCHEMA, TokenizeFilePostings
-from ..stages.segment import encode_shard_table, SEGMENT_SCHEMA
+from ..stages.segment import encode_shard_tables, SEGMENT_SCHEMA
 from ..stages.transforms import with_retries
 from ..state import manifest as mf
 
@@ -270,7 +272,7 @@ def _part_name(k: int) -> str:
 def _run_files(index_dir: str) -> list[str]:
     """Committed run files in ORDINAL order: by the integer part number,
     then the file's index in the part. Phase 2 relies on this order
-    (``encode_shard_table``), and path-string order breaks it at 10^4
+    (``encode_shard_tables``), and path-string order breaks it at 10^4
     parts (``part=10000`` sorts before ``part=9999``)."""
     runs_dir = os.path.join(index_dir, "runs")
     files = glob.glob(os.path.join(runs_dir, "part=*", "*.parquet"))
@@ -290,44 +292,54 @@ def _open_part(index_dir: str, k: int, n_files: int) -> list[str]:
 
 
 def _tokenize_file(path: str, base: int, run_path: str, cfg: IndexConfig,
-                   keep: list[pa.Table] | None = None) -> tuple[pa.Table, int]:
-    """Phase 1 for one input file → (its docmap rows, its run row count).
+                   keep: list[pa.Table] | None = None
+                   ) -> tuple[dict[str, np.ndarray], int]:
+    """Phase 1 for one input file → (its docmap rows as numpy columns,
+    its run row count).
 
     Streams the file's chunks into the run file at ``run_path`` (one row
     group per ``run_row_group_size`` rows of a chunk: each chunk is
     sorted by shard, so the row groups stay shard-clustered and phase 2
-    prunes to its shards via row-group statistics) and keeps the chunks'
-    docmap rows (``shard == -1``) in memory, so the run file is never
-    read back. ``keep`` (the inline build) collects the chunks for an
+    prunes to its shards via the ``shard`` statistics, the only column
+    that gets them) and keeps the chunks' docmap rows (``shard == -1``,
+    the leading rows of each chunk) in memory, so the run file is never
+    read back. The docmap leaves the task as numpy columns: a returned
+    Arrow table would make Ray's serializer import ``ray.data`` in the
+    worker. ``keep`` (the inline build) collects the chunks for an
     in-memory phase 2. A retry rewrites the same file."""
     run_rows = 0
     docmap = [DOCMAP_SCHEMA.empty_table()]
     items = pa.table({"path": [path], "base": [base]})
-    with pq.ParquetWriter(run_path, RUN_SCHEMA, compression="zstd") as w:
+    with pq.ParquetWriter(run_path, RUN_SCHEMA, compression="zstd",
+                          write_statistics=["shard"]) as w:
         for chunk in TokenizeFilePostings(cfg)(items):
             w.write_table(chunk, row_group_size=cfg.run_row_group_size)
             run_rows += chunk.num_rows
-            t = chunk.filter(pc.equal(chunk["shard"], DOCMAP_SHARD))
+            n_docs = int(np.searchsorted(chunk["shard"].to_numpy(),
+                                         DOCMAP_SHARD, side="right"))
+            t = chunk.slice(0, n_docs)
             docmap.append(pa.table(
                 {"ord": t["ord"], "doc_id": t["doc_id"],
                  "doclen": t["tf"].cast(pa.int64()), "lang": t["lang"]},
                 schema=DOCMAP_SCHEMA))
             if keep is not None:
                 keep.append(chunk)
-    return pa.concat_tables(docmap), run_rows
+    dm = pa.concat_tables(docmap)
+    return {c: dm[c].to_numpy() for c in DOCMAP_SCHEMA.names}, run_rows
 
 
 @ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
 def _tokenize_file_task(path: str, base: int, run_path: str,
-                        cfg: IndexConfig) -> tuple[pa.Table, int]:
+                        cfg: IndexConfig) -> tuple[dict[str, np.ndarray], int]:
     return _tokenize_file(path, base, run_path, cfg)
 
 
 def _close_part(index_dir: str, k: int, files_k: list[str],
-                outs: list[tuple[pa.Table, int]], t0: float) -> dict:
+                outs: list[tuple[dict[str, np.ndarray], int]],
+                t0: float) -> dict:
     """Commit part K's run files (tmp-dir rename), write
-    ``docmap/part-K.parquet`` from its files' docmap rows (``outs`` in
-    file order) → the ``runs-part-K`` manifest payload (the caller
+    ``docmap/part-K.parquet`` from its files' docmap columns (``outs``
+    in file order) → the ``runs-part-K`` manifest payload (the caller
     commits it)."""
     runs_dir = os.path.join(index_dir, "runs")
     final = os.path.join(runs_dir, _part_name(k))
@@ -336,7 +348,8 @@ def _close_part(index_dir: str, k: int, files_k: list[str],
                          final, durable=False)
     # files follow ordinal order and each chunk's docmap rows have
     # strictly increasing ords, so the docmap is already ord-sorted
-    dm = pa.concat_tables([d for d, _ in outs])
+    dm = pa.table({c: np.concatenate([d[c] for d, _ in outs])
+                   for c in DOCMAP_SCHEMA.names}, schema=DOCMAP_SCHEMA)
     run_rows = sum(n for _, n in outs)
     dm_dir = os.path.join(index_dir, "docmap")
     os.makedirs(dm_dir, exist_ok=True)
@@ -448,8 +461,6 @@ def load_docmap(index_dir: str):
     deployment doc-partitions readers on these same ordinal-range
     parts, each opening only its own files.
     """
-    import numpy as np
-
     files = sorted(glob.glob(os.path.join(index_dir, "docmap", "part-*.parquet")))
     if not files:
         return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -468,8 +479,6 @@ def load_docvalues(index_dir: str, column: str = "lang"):
     doc_values: columnar per-doc metadata served by ordinal gather —
     facets never re-read the corpus). → numpy object array, or None if
     the column is all-null (input had no such field)."""
-    import numpy as np
-
     files = sorted(glob.glob(os.path.join(index_dir, "docmap", "part-*.parquet")))
     if not files:
         return None
@@ -528,9 +537,11 @@ def _encode_shard_group(index_dir: str, shards: list[int],
     file, footer/row-group-stat pruning, and the boundary row groups a
     single-shard filter decompresses twice (a 16k-row group straddling
     two shards is read by both their tasks; a range filter reads it
-    once). The encode itself is one batched pass per shard
-    (``codec.encode_postings_batch``: a few ms for a 25k-posting
-    shard), so at small corpora this setup is most of the task;
+    once). The encode is one pass over the whole group
+    (``encode_shard_tables``: one dictionary unification, one
+    vocabulary sort and one stable argsort by (shard, term), then each
+    shard's slice through ``codec.encode_postings_batch``), so at small
+    corpora the scan setup is most of the task;
     ``_plan_shard_groups`` gives each task about
     ``PHASE2_GROUP_POSTINGS`` estimated postings, which is one task for
     a small corpus and one shard per task once a shard alone holds that
@@ -576,27 +587,16 @@ def _encode_shard_group(index_dir: str, shards: list[int],
         # dictionary-encoded (parquet dictionary pages) so no
         # per-posting string is materialized.
         fmt = pads.ParquetFileFormat(read_options={"dictionary_columns": ["term"]})
-        cols = ["term", "ord", "tf"] if len(shards) == 1 else \
-               ["shard", "term", "ord", "tf"]
-        flt = (pads.field("shard") == lo if len(shards) == 1 else
-               (pads.field("shard") >= lo) & (pads.field("shard") <= hi))
-        runs = pads.dataset(files, format=fmt).to_table(columns=cols,
-                                                        filter=flt)
+        flt = (pads.field("shard") >= lo) & (pads.field("shard") <= hi)
+        runs = pads.dataset(files, format=fmt).to_table(
+            columns=["shard", "term", "ord", "tf"], filter=flt)
     else:
         runs = None
 
-    payloads: list[dict] = []
-    for shard in shards:
-        if runs is None:
-            seg = SEGMENT_SCHEMA.empty_table()
-        elif len(shards) == 1:
-            seg = encode_shard_table(runs, block_size=block_size)
-        else:
-            sub = runs.filter(pc.equal(runs["shard"], shard)) \
-                      .select(["term", "ord", "tf"])
-            seg = encode_shard_table(sub, block_size=block_size)
-        payloads.append(_write_segment(seg, index_dir, shard, files))
-    return payloads
+    segs = (encode_shard_tables(runs, shards, block_size) if runs is not None
+            else [SEGMENT_SCHEMA.empty_table() for _ in shards])
+    return [_write_segment(seg, index_dir, shard, files)
+            for shard, seg in zip(shards, segs)]
 
 
 #: phase-2 task size, in estimated postings (the run-manifest counter
@@ -661,7 +661,8 @@ def _build_index_inline(files: list[str], index_dir: str,
     grouping) and segment writer, so the artifacts and manifest
     payloads are EXACTLY the distributed path's, and a build that
     crashes here resumes under either path and vice versa. Phase 2
-    encodes the rows the parts just produced, from memory. The point is
+    encodes the rows the parts just produced, from memory, with the
+    same one-sort kernel as a phase-2 task. The point is
     latency: a refresh-interval delta is a few thousand docs, and
     scheduling even a handful of Ray tasks per stage would dominate the
     stream→searchable SLO
@@ -701,14 +702,12 @@ def _build_index_inline(files: list[str], index_dir: str,
                   _close_part(index_dir, k, files_k, outs, t0))
         rows += [c.select(cols) for c in chunks]
 
-    full = pa.concat_tables(rows)
+    missing = [s for s in range(cfg.num_term_shards)
+               if not mf.is_committed(man_dir, f"segment-shard-{s:04d}")]
+    segs = encode_shard_tables(pa.concat_tables(rows), missing,
+                               cfg.block_size)
     run_files = _run_files(index_dir)
-    shard_col = full["shard"]
-    for shard in range(cfg.num_term_shards):
-        if mf.is_committed(man_dir, f"segment-shard-{shard:04d}"):
-            continue
-        sub = full.filter(pc.equal(shard_col, shard)).select(cols[1:])
-        seg = encode_shard_table(sub, block_size=cfg.block_size)
+    for shard, seg in zip(missing, segs):
         mf.commit(man_dir, f"segment-shard-{shard:04d}",
                   _write_segment(seg, index_dir, shard, run_files))
 

@@ -36,9 +36,12 @@ final cast to ``pa.string()`` (the run-file schema) materializes one
 string per posting. Writing the dictionary-typed column instead was
 measured slower (50 → 75 ms per build round), so the cast stays.
 
-The chunk output is sorted by (shard, term, ord) — docmap rows
-(shard = -1) lead — which keeps the run files shard-clustered per row
-group for the phase-2 pruned read and the parquet encodings tight.
+The chunk output is ordered by (shard, first-occurrence rank of the
+term in the chunk, ord) — docmap rows (shard = -1) lead. Terms are
+therefore grouped, but not in term order: phase 2 ranks the vocabulary
+itself (``segment.encode_shard_tables``). The shard order keeps the run
+files shard-clustered per row group for the phase-2 pruned read and the
+parquet encodings tight.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
     rank = np.empty(len(vocab), dtype=np.int64)
     rank[by_rank] = np.arange(len(vocab), dtype=np.int64)
 
-    # tf per (doc, term), sorted by (rank, row) = (shard, term, ord):
-    # one sort of composite integer keys
+    # tf per (doc, term), sorted by (rank, row) = (shard, first
+    # occurrence, ord): one sort of composite integer keys
     n_rows = max(n_docs, 1)
     uniq, counts = np.unique(rank[didx] * n_rows + idx_np,
                              return_counts=True)

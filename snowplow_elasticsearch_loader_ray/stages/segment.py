@@ -3,14 +3,15 @@
 The from-scratch replacement for what the reference delegates to
 Elasticsearch's bulk-index write (``ElasticsearchSink.scala:45-109``,
 SURVEY.md W1): all run rows of one term shard are merged, sorted by
-(term, doc_id) and encoded into delta/frame-of-reference posting blocks
+(term, doc ordinal) and encoded into delta/frame-of-reference posting blocks
 with block-max metadata (codec.py). df and cf per term are the grouped
 aggregates the reference's operator inventory calls out as engine-added
 (SURVEY.md §2 notes).
 
-Runs on one shard's data at a time — the shard exchange already
-happened via the shard-clustered run files, so this is an
-embarrassingly parallel per-shard map (no second all-to-all).
+One call encodes a whole group of shards (one phase-2 task's share)
+with one sort: the shard exchange already happened via the
+shard-clustered run files, so groups are an embarrassingly parallel
+map (no second all-to-all).
 """
 
 from __future__ import annotations
@@ -31,8 +32,15 @@ SEGMENT_SCHEMA = pa.schema(
 )
 
 
-def encode_shard_table(runs: pa.Table, block_size: int = 128) -> pa.Table:
-    """All run rows of one shard → one segment table (term, df, cf, postings).
+def encode_shard_tables(runs: pa.Table, shards: list[int],
+                        block_size: int = 128) -> list[pa.Table]:
+    """Run rows of several shards → one segment table (term, df, cf,
+    postings) per entry of ``shards``, in one pass over ``runs``.
+
+    ``runs`` holds (shard, term, ord, tf) rows; without a ``shard``
+    column every row belongs to the one shard asked for. Rows of shards
+    not asked for (the docmap rows, shard -1, and the inline build's
+    already committed shards) are sorted with the rest but never cut.
 
     Posting lists key on the dense doc ORDINAL (the docBase design —
     see stages/postings.py): delta gaps average n_docs/df instead of
@@ -41,20 +49,26 @@ def encode_shard_table(runs: pa.Table, block_size: int = 128) -> pa.Table:
     guarantees: every doc is tokenized in exactly one batch and the
     per-batch combiner already collapsed duplicates.
 
-    Rows must arrive with ords increasing within each term. The build
-    delivers them that way: each chunk is (shard, term, ord)-sorted,
-    chunks follow ordinal order inside a run file, run files are
-    contiguous ordinal ranges scanned in ordinal order (integer part
-    number, then file index), and filters keep row order. So only the terms need ordering: the
-    term column is dictionary-encoded once, the vocabulary ranked by
-    ``pc.sort_indices`` (UTF-8 byte order, which equals code-point
-    order), and the rows put in rank order by ONE stable integer
-    argsort that keeps the arrival (= ord) order inside each term. A
-    broken arrival order is not silently re-sorted: the codec's
-    strictly-increasing check raises ``ValueError``.
+    Rows must arrive with ords increasing within each (shard, term).
+    The build delivers them that way: each chunk's postings are ordered
+    by ord within a term, chunks follow ordinal order inside a run
+    file, run files are contiguous ordinal ranges scanned in ordinal
+    order (integer part number, then file index), and filters keep row
+    order. So only the keys need ordering: the term column is
+    dictionary-encoded once (chunk dictionaries unified), the
+    vocabulary ranked by ``pc.sort_indices`` (UTF-8 byte order, which
+    equals code-point order), and the rows put in ``shard * n_vocab +
+    rank`` order by ONE stable integer argsort that keeps the arrival
+    (= ord) order inside each term. Each shard's lists are then the
+    slice between its two ``searchsorted`` bounds. A broken arrival
+    order is not silently re-sorted: the codec's strictly-increasing
+    check raises ``ValueError``.
     """
-    if runs.num_rows == 0:
-        return SEGMENT_SCHEMA.empty_table()
+    has_shard = "shard" in runs.column_names
+    if not has_shard and len(shards) != 1:
+        raise ValueError("rows without a shard column encode one shard")
+    if runs.num_rows == 0 or not shards:
+        return [SEGMENT_SCHEMA.empty_table() for _ in shards]
     term_col = runs["term"]
     if isinstance(term_col, pa.ChunkedArray):
         term_col = term_col.combine_chunks()   # unifies chunk dictionaries
@@ -63,20 +77,42 @@ def encode_shard_table(runs: pa.Table, block_size: int = 128) -> pa.Table:
     enc = (term_col if pa.types.is_dictionary(term_col.type)
            else term_col.dictionary_encode())
     vocab_order = pc.sort_indices(enc.dictionary).to_numpy()
-    rank = np.empty(len(vocab_order), dtype=np.int64)
-    rank[vocab_order] = np.arange(len(vocab_order))
+    n_vocab = len(vocab_order)
+    rank = np.empty(n_vocab, dtype=np.int64)
+    rank[vocab_order] = np.arange(n_vocab)
     keys = rank[enc.indices.to_numpy(zero_copy_only=False)]
+    if has_shard:
+        keys += runs["shard"].to_numpy().astype(np.int64) * n_vocab
+        bases = np.asarray(shards, dtype=np.int64) * n_vocab
+    else:
+        bases = np.zeros(1, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    doc_ids = runs["ord"].to_numpy()[order]
-    tfs = runs["tf"].to_numpy()[order]
+    los = np.searchsorted(keys, bases)
+    his = np.searchsorted(keys, bases + n_vocab)
+    ords = runs["ord"].to_numpy()
+    tfs = runs["tf"].to_numpy()
 
-    change = np.nonzero(keys[1:] != keys[:-1])[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [len(keys)]))
-    terms = enc.dictionary.take(vocab_order[keys[starts]])
+    out = []
+    for base, lo, hi in zip(bases.tolist(), los.tolist(), his.tolist()):
+        if lo == hi:
+            out.append(SEGMENT_SCHEMA.empty_table())
+            continue
+        k, rows = keys[lo:hi], order[lo:hi]
+        change = np.nonzero(k[1:] != k[:-1])[0] + 1
+        starts = np.concatenate(([0], change))
+        ends = np.concatenate((change, [len(k)]))
+        terms = enc.dictionary.take(vocab_order[k[starts] - base])
+        out.append(segment_table(terms, ords[rows], tfs[rows], starts, ends,
+                                 block_size))
+    return out
 
-    return segment_table(terms, doc_ids, tfs, starts, ends, block_size)
+
+def encode_shard_table(runs: pa.Table, block_size: int = 128) -> pa.Table:
+    """All run rows (term, ord, tf) of one shard → its segment table:
+    ``encode_shard_tables`` for a single shard."""
+    return encode_shard_tables(runs.select(["term", "ord", "tf"]), [0],
+                               block_size)[0]
 
 
 def segment_table(terms, doc_ids: np.ndarray, tfs: np.ndarray,

@@ -4,7 +4,7 @@ This is the engine's hot per-record transform — the analogue of the
 reference's ``transformEnrichedEvent`` parse step
 (``modules/core/src/main/scala/.../Processing.scala:152-182``), which is
 per-record and embarrassingly parallel. Here the whole batch is
-processed with pyarrow C++ kernels and one numpy byte-table lookup
+processed with pyarrow C++ kernels and one byte-table translate
 (``utf8_lower`` → byte table over the data buffer →
 ``ascii_split_whitespace`` → ``list_flatten`` + ``list_parent_indices``
 → ``Table.group_by``): no Python loop over rows or tokens, and no
@@ -30,10 +30,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-#: byte → itself for ``[a-z0-9]``, → space for every other byte
-_TOKEN_BYTES = np.full(256, ord(" "), dtype=np.uint8)
-for _c in b"abcdefghijklmnopqrstuvwxyz0123456789":
-    _TOKEN_BYTES[_c] = _c
+#: ``bytes.translate`` table: byte → itself for ``[a-z0-9]``, → space
+#: for every other byte
+_TOKEN_BYTES = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789"
+                     else ord(" ") for c in range(256))
 
 
 def term_shard_one(term: str, num_shards: int) -> int:
@@ -88,7 +88,7 @@ def _blank_separators(lowered: pa.Array) -> pa.Array:
     validity, offsets, data = lowered.buffers()
     if data is None or data.size == 0:
         return lowered
-    mapped = _TOKEN_BYTES[np.frombuffer(data, dtype=np.uint8)]
+    mapped = data.to_pybytes().translate(_TOKEN_BYTES)
     return pa.Array.from_buffers(
         lowered.type, len(lowered),
         [validity, offsets, pa.py_buffer(mapped)],

@@ -386,6 +386,57 @@ def test_grouped_encode_matches_single_shard(built):
         assert got.equals(want[s]), f"shard {s} changed under grouped encode"
 
 
+def _artifact_sha1(index_dir):
+    import hashlib
+
+    return {os.path.relpath(f, index_dir):
+            hashlib.sha1(open(f, "rb").read()).hexdigest()
+            for sub in ("segments", "docmap")
+            for f in sorted(glob.glob(os.path.join(index_dir, sub, "*")))}
+
+
+def test_build_paths_and_resumes_write_identical_artifacts(
+        built, tmp_path, monkeypatch):
+    """The inline build, the distributed build under the default phase-2
+    grouping and under groups of one or two shards, and a resume of
+    shards {1, 4, 5} on both paths (a gap inside a group's range) write
+    the same bytes to every segments/ and docmap/ file."""
+    import dataclasses
+
+    from snowplow_elasticsearch_loader_ray.state import manifest as mf
+
+    docs = B.good_docs_dir(built[0])
+    dist_cfg = dataclasses.replace(CFG, inline_build_max_docs=0)
+    n = CFG.num_term_shards
+
+    def build(name, cfg):
+        B.build_index(docs, str(tmp_path / name), cfg)
+        return _artifact_sha1(str(tmp_path / name))
+
+    def resume(name, cfg):
+        """Drop shards 1, 4 and 5 (segment files and manifests) and the
+        index manifest, then build again."""
+        man = str(tmp_path / name / "manifests")
+        for s in (1, 4, 5):
+            os.remove(str(tmp_path / name / "segments" / f"shard-{s:04d}.parquet"))
+            os.remove(mf.manifest_path(man, f"segment-shard-{s:04d}"))
+        os.remove(mf.manifest_path(man, "index"))
+        return build(name, cfg)
+
+    want = build("inline", CFG)
+    assert "phase2_segments_s" not in B.index_metrics(str(tmp_path / "inline"))
+    assert len(want) == n + len(glob.glob(os.path.join(docs, "*.parquet")))
+    assert build("dist", dist_cfg) == want
+    est = B.index_metrics(str(tmp_path / "dist"))["postings"]
+    monkeypatch.setattr(B, "PHASE2_GROUP_POSTINGS", 2 * (est // n))
+    groups = B._plan_shard_groups(list(range(n)), n, est)
+    assert {len(g) for g in groups} == {2}
+    assert B._plan_shard_groups([1, 4, 5], n, est) == [[1], [4, 5]]
+    assert build("dist_small_groups", dist_cfg) == want
+    assert resume("inline", CFG) == want
+    assert resume("dist_small_groups", dist_cfg) == want
+
+
 def test_rank_eval_single_term_queries_perfect(ray_session):
     """For single-term queries every BM25 hit contains the term, so
     hits == min(n_rel, k), precision is hits/k and NDCG is perfect."""
