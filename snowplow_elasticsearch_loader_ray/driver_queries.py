@@ -2684,12 +2684,13 @@ def _update_by_query_sql() -> str:
 
 
 def bm25_topk_grid(sf_dir: str) -> pa.Table:
-    """The (term shard × doc partition) grid serving path — per-cell
-    memory independent of corpus size; scores bit-identical to the
-    single reader (see pipelines/grid_query.py)."""
-    from .pipelines.grid_query import GridQueryEngine
+    """The (term shard × doc partition) grid serving path — each
+    reader holds one doc stripe of its shards, so its postings shrink
+    with the stripe count; scores bit-identical to the single reader
+    (see pipelines/sharded_query.py)."""
+    from .pipelines.sharded_query import ShardedQueryEngine
 
-    eng = GridQueryEngine(_ensure_index(sf_dir), n_doc_parts=3)
+    eng = ShardedQueryEngine(_ensure_index(sf_dir), n_doc_parts=3)
     try:
         qids, ranks, docs = [], [], []
         for qid, q in DOC_QUERIES:

@@ -344,12 +344,9 @@ class MultiFieldShardedEngine:
             tfc = np.zeros(n_docs, dtype=np.float64)
             hit = False
             for name, boost in fb:             # declared field order
-                p = per_field[name].get(t)
-                if p is None:
-                    continue
-                docs, tfs = p
-                tfc[docs] += boost * tfs
-                hit = True
+                for docs, tfs in per_field[name].get(t, ()):
+                    tfc[docs] += boost * tfs   # doc-disjoint stripes
+                    hit = True
             if not hit:
                 continue
             matched = True

@@ -108,11 +108,11 @@ class IndexReader:
 
         segments = sorted(glob.glob(os.path.join(index_dir, "segments",
                                                  "*.parquet")))
-        self._columns = []               # (terms, postings) per segment
+        self._columns = []               # (terms, dfs, postings) per segment
         for f in segments:
             t = pq.read_table(f)
             names = t["term"].to_pylist()
-            self._columns.append((names, t["postings"]))
+            self._columns.append((names, t["df"].to_numpy(), t["postings"]))
             # postings stay zero-copy views over the Arrow data buffer
             # (one buffer per segment file) — warm-up copies nothing
             views = binary_views(t["postings"])
@@ -157,9 +157,10 @@ class IndexReader:
         hit = self._scored.get(term)
         if hit is not None:
             return hit
-        if (pl := self.postings(term)) is None:
+        if (e := self.terms.get(term)) is None:
             return None
-        return self._scored.put(term, scored_list(self, pl))
+        return self._scored.put(term, scored_list(self, PostingList(e[2]),
+                                                  e[0]))
 
     def bound(self, term: str) -> float:
         """The term's MaxScore bound (``bm25.term_bound`` at its largest

@@ -354,12 +354,13 @@ def execute_with_aggs(reader: IndexReader, body: dict, pos_reader=None
 def execute_distributed(engine, body: dict
                         ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run a ``_search`` request body on the DISTRIBUTED serving plane
-    (``ShardedQueryEngine`` / ``GridQueryEngine`` — scatter-gather over
-    term-shard actors): the coordinator-side subset is ``match`` +
-    from/size paging + ``terms``/``stats`` aggs, each dispatched to the
-    engine's distributed primitive and therefore bit-identical to the
-    single-reader ``execute``/``execute_with_aggs`` (the engines pin
-    score identity). Returns (doc_ids, scores, aggs)."""
+    (``ShardedQueryEngine`` with any ``n_doc_parts`` — scatter-gather
+    over term-shard actors in each doc stripe): the coordinator-side
+    subset is ``match`` + from/size paging + ``terms``/``stats`` aggs,
+    each dispatched to the engine's distributed primitive and therefore
+    bit-identical to the single-reader ``execute``/``execute_with_aggs``
+    (the engine pins score identity at every stripe count). Returns
+    (doc_ids, scores, aggs)."""
     extra = set(body) - {"query", "size", "from", "aggs"}
     if extra:
         raise UnsupportedDSL(f"unsupported distributed keys {extra}")

@@ -96,11 +96,13 @@ def bm25_partials(reader, df: int, docs, tfs):
         tfs, reader.dl_lens[docs], reader.avgdl)
 
 
-def scored_list(reader, pl):
-    """A posting list fully decoded and weighted: (ordinals, partials),
-    both read-only — a cache hands the same arrays to every caller."""
+def scored_list(reader, pl, df: int):
+    """A posting list fully decoded and weighted under its term's
+    index-wide ``df`` (a doc-stripe reader's list holds fewer
+    postings): (ordinals, partials), both read-only — a cache hands the
+    same arrays to every caller."""
     docs, tfs = pl.decode_all()
-    part = bm25_partials(reader, len(docs), docs, tfs)
+    part = bm25_partials(reader, df, docs, tfs)
     docs.flags.writeable = part.flags.writeable = False
     return docs, part
 
@@ -110,16 +112,17 @@ class ShortLists:
     weighed in one pass: term → (ordinals, partials) as two slices of flat,
     read-only arrays, the same floats ``scored_list`` computes.
 
-    ``segments`` yields ``(terms, postings)`` per segment file: its
-    term strings and its ``postings`` column. One ``decode_postings_batch``
-    per segment decodes the rows ``codec.one_block_rows`` picks, and one
-    pass weighs them all: a one-block list has at most ``block_size``
-    postings, so its df — the posting count ``scored_list`` passes —
-    takes one of at most that many values, each with its idf from the
-    scalar ``bm25.idf``; the partials are then ``idf × tf_weight`` over
-    the flat arrays, the same IEEE operations per posting as
-    ``bm25_partials``. Memory is 16 B per posting, at most
-    ``16 × block_size`` B per term.
+    ``segments`` yields ``(terms, dfs, postings)`` per segment file: its
+    term strings, their index-wide dfs (a doc-stripe reader's lists are
+    shorter than their df) and its ``postings`` column. One
+    ``decode_postings_batch`` per segment decodes the rows
+    ``codec.one_block_rows`` picks, and one pass weighs them all: each
+    distinct df gets its idf from the scalar ``bm25.idf`` (in a whole
+    index a one-block list's df is its length, so at most
+    ``block_size`` values), and the partials are then
+    ``idf × tf_weight`` over the flat arrays, the same IEEE operations
+    per posting as ``bm25_partials``. Memory is 16 B per posting, at
+    most ``16 × block_size`` B per term.
     """
 
     def __init__(self, reader, segments):
@@ -131,13 +134,14 @@ class ShortLists:
 
         names: list[str] = []
         lens, docs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        tfs = [np.empty(0, np.int32)]
-        for terms, postings in segments:
+        tfs, row_dfs = [np.empty(0, np.int32)], [np.empty(0, np.int64)]
+        for terms, dfs, postings in segments:
             rows = [r for r in one_block_rows(postings).tolist()
                     if terms[r] != DOCLEN_TERM]
             starts, d, t = decode_postings_batch(postings, rows)
             names += [terms[r] for r in rows]
             lens.append(np.diff(starts))
+            row_dfs.append(dfs[rows])
             docs.append(d)
             tfs.append(t)
         n = np.concatenate(lens)
@@ -147,7 +151,7 @@ class ShortLists:
         self._row = dict(zip(names, range(len(names))))
         self.docs = np.concatenate(docs)
         tfs = np.concatenate(tfs)
-        dfs, inv = np.unique(n, return_inverse=True)
+        dfs, inv = np.unique(np.concatenate(row_dfs), return_inverse=True)
         idf = np.array([bm25.idf(reader.n_docs, int(df)) for df in dfs],
                        dtype=np.float64)
         self.partials = np.repeat(idf[inv], n) * bm25.tf_weight(
@@ -241,9 +245,9 @@ def dense_combine_into(acc, terms, slices_by_term):
 
 def dense_combine(owner, n_docs: int, terms, slices_by_term):
     """Per-doc partial sums through a dense ordinal accumulator cached
-    on ``owner`` — shared by the sharded and grid coordinators.
+    on ``owner`` (the scatter-gather coordinator, ``ShardedQueryEngine``).
 
-    One scatter-add per (term, doc-disjoint slice), in sorted-term
+    One scatter-add per (term, doc-disjoint stripe slice), in sorted-term
     order; a doc appears at most once per term, so the per-doc addition
     order IS term order — the single reader's float summation order,
     bit-identical scores. Partials are strictly positive (idf > 0,

@@ -1,29 +1,46 @@
-"""Scatter-gather BM25 serving over a pool of term-shard reader actors.
+"""Scatter-gather BM25 serving over pools of reader actors.
 
 The scale path for query serving (the single-process ``IndexReader``
-notes this design in its docstring): the pool has one reader actor per
-CPU, at most one per shard (``servecache.reader_pool``); actor ``a`` of
-``n`` owns term shards ``a, a+n, …`` and loads ONLY those segment
-files' postings plus the (small relative to postings) global
+notes this design in its docstring). The corpus is cut two ways: terms
+into the index's term shards, docs into ``n_doc_parts`` ordinal
+stripes. Each stripe has its own pool of reader actors, one per CPU
+and at most one per shard (``servecache.reader_pool``): actor ``a`` of
+``n`` owns term shards ``a, a+n, …`` restricted to its stripe, and
+loads ONLY those postings plus the (small relative to postings) global
 doclen/stats tables, once. A query's terms scatter to the actors that
-own them (``servecache.group_by_reader``: the build's shard routing,
-then shard → actor), one RPC per actor touched; each actor returns
-partial per-doc scores for its terms, and the coordinator combines
-partials and ranks. Rank-identity with the single reader is guaranteed
-by summing partials in sorted-term order (each term's partial is
-computed identically) and ranking with the same
-``(round(score, 7) desc, doc_id asc)`` rule.
+own them in every stripe (``servecache.group_by_reader``: the build's
+shard routing, then shard → actor), one RPC per actor touched; each
+actor returns its stripe's slice of partial per-doc scores for its
+terms, and the coordinator combines the slices and ranks. With one
+stripe (the default) this is the plain term-sharded plane; with P
+stripes each actor holds about ``1/P`` of its shards' postings.
+
+Scores are bit-identical to the single reader, not merely
+rank-identical: each term's partial is computed with the same floats,
+partials are summed in sorted-term order (stripes are doc-disjoint, so
+a doc gets at most one slice per term and its addition order IS term
+order), and the rank uses the same ``(round(score, 7) desc, doc_id
+asc)`` rule.
 
 Partitioning assumptions (documented per SURVEY.md custom-op rule):
 - terms route by ``term_shard_one(term) % num_term_shards`` — identical
   at build and query time — and shards map to actors by ``shard % n``;
   term sets are disjoint across shards, so an actor keys the postings
   of all its shards by term in one dict;
+- docs route by ORDINAL STRIPE (``ord % n_doc_parts``). Any modulus
+  works, because a reader restricts its shards at load: one batched
+  decode per shard, masked to the stripe and re-encoded with the
+  segment writer's kernel, so a reader holds its stripe encoded (2.7
+  B/posting at P = 3 on a 55k-doc synthetic index, where decoded arrays
+  take 12). With one stripe the segments load as written. A
+  production layout would instead use the docmap parts' contiguous
+  ordinal RANGES, so each reader opened only its range's docmap files;
+- BM25 idf uses the GLOBAL df (the segment's ``df`` column), never a
+  stripe's list length, and a term's MaxScore bound uses the largest
+  of its stripes' max tfs;
 - every reader actor holds the full ordinal-indexed doclen array (the
   ``docmap/`` tables, ~24 B/doc total) so partial scoring is a direct
-  gather; at 10^12 docs the corpus is additionally doc-partitioned and
-  the docmap parts are ordinal-range files, so each
-  (term-shard × doc-partition) actor opens exactly its range's files.
+  gather by global ordinal;
 - partials are keyed by doc ORDINAL; the driver combines on ordinals
   and maps the (pre-cut, ~k-sized) survivors to external doc_ids via
   the docmap at ranking time.
@@ -35,12 +52,14 @@ import os
 from collections import OrderedDict
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
 from .. import bm25
-from ..codec import PostingList
+from ..codec import PostingList, binary_views, decode_postings_batch
 from ..config import DOCLEN_TERM
+from ..stages.segment import segment_table
 from .build import index_stats, load_docmap
 from .query import tokenize_query
 from .servecache import (
@@ -53,11 +72,31 @@ from .servecache import (
     fused_combine_rank,
     env_cap,
     group_by_reader,
+    reader_cpus,
     reader_pool,
     scored_list,
     scored_lru,
     scores_at,
 )
+
+
+def _stripe(seg: pa.Table, doc_part: int, n_doc_parts: int,
+            block_size: int) -> pa.Table:
+    """A segment's rows restricted to the docs with ``ord % n_doc_parts
+    == doc_part``: the whole shard in one batched decode, masked, and
+    re-encoded by ``segment.segment_table``. Terms with no posting in
+    the stripe drop out; ``df`` stays the index-wide column."""
+    starts, docs, tfs = decode_postings_batch(seg["postings"],
+                                              np.arange(seg.num_rows))
+    mask = docs % n_doc_parts == doc_part
+    kept = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=kept[1:])
+    lo, hi = kept[starts[:-1]], kept[starts[1:]]
+    rows = np.flatnonzero(hi > lo)
+    names = seg["term"].to_pylist()
+    out = segment_table([names[r] for r in rows], docs[mask], tfs[mask],
+                        lo[rows], hi[rows], block_size)
+    return out.set_column(1, "df", seg["df"].take(rows))
 
 
 # max_restarts/max_task_retries: a crashed reader actor restarts and
@@ -67,30 +106,34 @@ from .servecache import (
 # durable segments, so restart = reread).
 @ray.remote(num_cpus=1, max_restarts=2, max_task_retries=2)
 class ShardReader:
-    """Some term shards' postings + ordinal-indexed doc lengths.
+    """Some term shards' postings in one doc stripe + ordinal-indexed
+    doc lengths.
 
-    ``shards`` are the term shards this actor owns (of ``num_shards``);
-    their segments load into one term-keyed dict, and the index stats
-    and docmap load once for all of them."""
+    ``shards`` are the term shards this actor owns (of ``num_shards``),
+    restricted to the docs with ``ord % n_doc_parts == doc_part``; their
+    segments load into one term-keyed dict, and the index stats and
+    docmap load once for all of them."""
 
-    def __init__(self, index_dir: str, shards: list[int], num_shards: int):
+    def __init__(self, index_dir: str, shards: list[int], num_shards: int,
+                 doc_part: int = 0, n_doc_parts: int = 1):
         st = index_stats(index_dir)
         self.n_docs = int(st["n_docs"])
         self.avgdl = float(st["avgdl"]) if st["avgdl"] else 1.0
-        self.terms: dict[str, bytes] = {}
-        # own segments: these shards' term postings (zero-copy views
-        # over each segment's single Arrow data buffer)
-        from ..codec import binary_views
-
-        columns = []                     # (terms, postings) per shard
+        # term → (index-wide df, this stripe's postings as zero-copy
+        # views over each segment's single Arrow data buffer)
+        self.terms: dict[str, tuple[int, bytes]] = {}
+        columns = []                     # (terms, dfs, postings) per shard
         for shard in shards:
             t = pq.read_table(os.path.join(index_dir, "segments",
                                            f"shard-{shard:04d}.parquet"))
-            names = t["term"].to_pylist()
-            columns.append((names, t["postings"]))
-            for term, buf in zip(names, binary_views(t["postings"])):
+            if n_doc_parts > 1:
+                t = _stripe(t, doc_part, n_doc_parts, int(st["block_size"]))
+            names, dfs = t["term"].to_pylist(), t["df"].to_numpy()
+            columns.append((names, dfs, t["postings"]))
+            for term, df, buf in zip(names, dfs.tolist(),
+                                     binary_views(t["postings"])):
                 if term != DOCLEN_TERM:
-                    self.terms[term] = buf
+                    self.terms[term] = (df, buf)
         self.doc_ids, lens = load_docmap(index_dir)
         self.dl_lens = lens.astype(np.float64)
         # the same two scored-list layers ``IndexReader.scored`` has:
@@ -122,10 +165,10 @@ class ShardReader:
         hit = self._hot.get(term)
         if hit is not None:
             return hit
-        buf = self.terms.get(term)
-        if buf is None:
+        e = self.terms.get(term)
+        if e is None:
             return None
-        return self._hot.put(term, scored_list(self, PostingList(buf)))
+        return self._hot.put(term, scored_list(self, PostingList(e[1]), e[0]))
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """The one-block table's terms, postings and bytes, and the
@@ -134,11 +177,11 @@ class ShardReader:
                 "scored_lists": self._hot.stats()}
 
     def topk_single(self, term: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Single-term top-k ranked ON the shard — ships k rows instead
-        of a full head-term partial (df×16 B; the p99 driver at 10^6+
-        docs was exactly this ship + driver-side combine). Identical
-        floats and rank rule to the driver path: the combine of one
-        term is the identity."""
+        """Single-term top-k over this stripe, ranked ON the shard —
+        ships k rows instead of a full head-term partial (df×16 B; the
+        p99 driver at 10^6+ docs was exactly this ship + driver-side
+        combine). Identical floats and rank rule to the driver path:
+        the combine of one term is the identity."""
         scored = self._scored(term)
         if scored is None:
             return np.empty(0, np.int64), np.empty(0, np.float64)
@@ -151,7 +194,7 @@ class ShardReader:
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Batched ``topk_single`` — one RPC ranks every requested term
         on its owning shard (champion-cached), shipping k rows per term
-        instead of df-sized partials (the msearch fan-in path)."""
+        instead of df-sized partials."""
         return {t: self.topk_single(t, k) for t in terms}
 
     def tf_partials(self, terms: list[str]
@@ -167,10 +210,10 @@ class ShardReader:
         for t in terms:
             hit = cache.get(t)
             if hit is None:
-                buf = self.terms.get(t)
-                if buf is None:
+                e = self.terms.get(t)
+                if e is None:
                     continue
-                docs, tfs = PostingList(buf).decode_all()
+                docs, tfs = PostingList(e[1]).decode_all()
                 hit = cache.put(t, (docs, tfs.astype(np.float64)))
             out[t] = hit
         return out
@@ -186,14 +229,15 @@ class ShardReader:
         return out
 
     def term_meta(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        """term → (df, global max tf) for the driver's MaxScore upper
-        bounds — block-max metadata only, no posting decode."""
+        """term → (index-wide df, this stripe's max tf) for the driver's
+        MaxScore upper bounds — block-max metadata only, no posting
+        decode."""
         out: dict[str, tuple[int, int]] = {}
         for t in terms:
-            buf = self.terms.get(t)
-            if buf is not None:
-                pl = PostingList(buf)
-                out[t] = (pl.n, int(pl.max_tf.max()) if pl.n_blocks else 0)
+            e = self.terms.get(t)
+            if e is not None:
+                pl = PostingList(e[1])
+                out[t] = (e[0], int(pl.max_tf.max()) if pl.n_blocks else 0)
         return out
 
     def candidate_scores(self, terms: list[str], cand: np.ndarray,
@@ -207,10 +251,9 @@ class ShardReader:
             hot = self._short.get(t) or self._hot.get(t)
             if hot is not None:                  # already decoded+scored:
                 docs, scores = scores_at(*hot, cand)  # intersect, no decode
-            elif (buf := self.terms.get(t)) is not None:
-                pl = PostingList(buf)
-                docs, tfs = pl.decode_for(cand)
-                scores = bm25_partials(self, pl.n, docs, tfs)
+            elif (e := self.terms.get(t)) is not None:
+                docs, tfs = PostingList(e[1]).decode_for(cand)
+                scores = bm25_partials(self, e[0], docs, tfs)
             else:
                 continue
             if len(docs):
@@ -218,15 +261,29 @@ class ShardReader:
         return out
 
 
-class ShardedQueryEngine:
-    """Scatter-gather top-k over a pool of ShardReader actors (one per
-    CPU, at most one per term shard; see ``servecache.reader_pool``)."""
+def _merge_ranked(parts: list[tuple[np.ndarray, np.ndarray]], k: int,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One term's top k from its stripes' pre-ranked top ks: per-doc
+    scores are independent, so the global top k lies in their union,
+    and re-ranking rounded scores is idempotent."""
+    return bm25.rank_topk(np.concatenate([p[0] for p in parts]),
+                          np.concatenate([p[1] for p in parts]), k)
 
-    def __init__(self, index_dir: str, cpus_per_reader: float | None = None):
+
+class ShardedQueryEngine:
+    """Scatter-gather top-k over ``n_doc_parts`` doc stripes, each
+    served by a pool of ShardReader actors (one per CPU, at most one
+    per term shard; see ``servecache.reader_pool``)."""
+
+    def __init__(self, index_dir: str, n_doc_parts: int = 1,
+                 cpus_per_reader: float | None = None):
+        if n_doc_parts < 1:
+            raise ValueError(f"n_doc_parts must be >= 1, got {n_doc_parts}")
         st = index_stats(index_dir)
         self.num_shards = int(st["num_term_shards"])
         self.n_docs = int(st["n_docs"])
         self.avgdl = float(st["avgdl"]) if st["avgdl"] else 1.0
+        self.n_doc_parts = n_doc_parts
         # ordinal → external id for the final (pre-cut, ~k-sized) rank;
         # held whole here (8 B/doc) — a 10^12-doc deployment keeps this
         # doc-partitioned and fetches survivors' ids from the owning
@@ -245,7 +302,7 @@ class ShardedQueryEngine:
         # arrays, postings-capped
         self._partials: CappedLRU = CappedLRU(
             env_cap("GRAFT_COORD_HOT_POSTINGS", 16_000_000),  # ≈256 MB
-            size_of=lambda v: len(v[0]))
+            size_of=lambda v: sum(len(d) for d, _s in v))
         # ES shard-request-cache role: final (ids, rounded scores) per
         # normalized (live terms, k) — sound because this engine serves
         # one committed immutable index dir (see servecache.RequestCache)
@@ -254,21 +311,23 @@ class ShardedQueryEngine:
         #: benches flip this off to expose the distinct-query (champion
         #: list / dense-combine) steady state under repeated traffic
         self.request_cache_enabled = True
-        # fit the pool into the current cluster (a reader is mostly
-        # waiting between queries; on a real cluster size this to
-        # cores/shards-per-node)
-        groups, share = reader_pool(
-            self.num_shards, ray.cluster_resources().get("CPU", 1.0))
+        # one pool per stripe, fitted into the current cluster (a reader
+        # is mostly waiting between queries; on a real cluster size
+        # this to cores/shards-per-node); the reader of stripe p and
+        # pool slot a is readers[p * pool + a]
+        cpus = ray.cluster_resources().get("CPU", 1.0)
+        groups = reader_pool(self.num_shards, cpus)[0]
+        self._pool = len(groups)
         if cpus_per_reader is None:
-            cpus_per_reader = share
+            cpus_per_reader = reader_cpus(n_doc_parts * self._pool, cpus)
         self.readers = [
             ShardReader.options(num_cpus=cpus_per_reader).remote(
-                index_dir, shards, self.num_shards)
-            for shards in groups
+                index_dir, shards, self.num_shards, p, n_doc_parts)
+            for p in range(n_doc_parts) for shards in groups
         ]
 
     def _scatter(self, method: str, terms: list[str], *args
-                 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+                 ) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
         if method == "partial_scores":
             # coordinator-side hot-partial cache: a term's (ordinals,
             # partial scores) is deterministic per corpus, so re-fetching
@@ -291,27 +350,35 @@ class ShardedQueryEngine:
         return self._scatter_raw(method, terms, *args)
 
     def _scatter_raw(self, method: str, terms: list[str], *args
-                     ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        refs = [getattr(self.readers[a], method).remote(ts, *args)
-                for a, ts in group_by_reader(terms, self.num_shards,
-                                             len(self.readers))]
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+                     ) -> dict[str, list]:
+        """term → its answers from the stripes that hold it, in stripe
+        order (for ``partial_scores``: doc-disjoint slices)."""
+        n = self._pool
+        refs = [getattr(self.readers[p * n + a], method).remote(ts, *args)
+                for a, ts in group_by_reader(terms, self.num_shards, n)
+                for p in range(self.n_doc_parts)]
+        out: dict[str, list] = {}
         for part in ray.get(refs):
-            out.update(part)
+            for t, v in part.items():
+                out.setdefault(t, []).append(v)
         return out
 
     def _metas(self, terms: list[str]) -> dict[str, tuple[int, int, float]]:
-        """(df, max_tf, MaxScore bound) per term, cached across queries
-        (metadata-only shard round for terms not yet seen; the bound is
-        ``bm25.term_bound``, the single reader's ``IndexReader.bound``)."""
+        """(df, max_tf over the stripes, MaxScore bound) per term,
+        cached across queries (metadata-only shard round for terms not
+        yet seen; the bound is ``bm25.term_bound``, the single reader's
+        ``IndexReader.bound``)."""
         unknown = [t for t in terms if t not in self._meta_cache]
         if unknown:
             fetched = self._scatter("term_meta", unknown)
             for t in unknown:
                 m = fetched.get(t)
-                self._meta_cache[t] = None if m is None else (
-                    *m, bm25.term_bound(self.n_docs, m[0], m[1],
-                                        self._dl_min, self.avgdl))
+                if m is None:
+                    self._meta_cache[t] = None
+                    continue
+                df, mtf = m[0][0], max(x[1] for x in m)
+                self._meta_cache[t] = (df, mtf, bm25.term_bound(
+                    self.n_docs, df, mtf, self._dl_min, self.avgdl))
         out = {}
         for t in terms:
             self._meta_cache.move_to_end(t)          # LRU touch
@@ -322,14 +389,22 @@ class ShardedQueryEngine:
         return out
 
     def _combine(self, terms: list[str],
-                 by_term: dict[str, tuple[np.ndarray, np.ndarray]],
+                 by_term: dict[str, list[tuple[np.ndarray, np.ndarray]]],
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Per-doc sums in GLOBAL sorted-term order via the shared
         dense-accumulator kernel (``servecache.dense_combine``) —
         bit-identical float summation order to the single reader."""
-        return dense_combine(
-            self, self.n_docs, terms,
-            lambda t: ([by_term[t]] if t in by_term else ()))
+        return dense_combine(self, self.n_docs, terms,
+                             lambda t: by_term.get(t, ()))
+
+    def _topk_singles(self, terms: list[str], k: int,
+                      ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Single-term top-k per term: each stripe ranks on the actor
+        that owns the term (champion-cached, k rows shipped per term,
+        one batched RPC per actor), and the coordinator merges the
+        stripes' rows (``_merge_ranked``)."""
+        return {t: _merge_ranked(parts, k) for t, parts in
+                self._scatter("topk_single_many", terms, k).items()}
 
     def topk(self, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
         """Distributed MaxScore: the driver splits terms into essential
@@ -360,10 +435,7 @@ class ShardedQueryEngine:
     def _topk_impl(self, live: list[str], metas: dict, k: int,
                    ) -> tuple[np.ndarray, np.ndarray]:
         if len(live) == 1:
-            # one term → rank on its owning actor, ship only k rows
-            [(a, [t])] = group_by_reader(live, self.num_shards,
-                                         len(self.readers))
-            return ray.get(self.readers[a].topk_single.remote(t, k))
+            return self._topk_singles(live, k)[live[0]]
         ubs = {t: metas[t][2] for t in live}
         by_ub = sorted(live, key=lambda t: (-ubs[t], t))
         max_ub = ubs[by_ub[0]]
@@ -398,14 +470,11 @@ class ShardedQueryEngine:
         # candidate-only — identical float order to the single reader
         cand_scores = np.zeros(len(cand), dtype=np.float64)
         for t in live:                         # sorted-term order
-            hit = ess_parts.get(t) if t in essential else tail_parts.get(t)
-            if hit is None:
-                continue
-            docs, scores = hit
-            if t in essential:
-                docs, scores = scores_at(docs, scores, cand)
-            j = np.searchsorted(cand, docs)
-            cand_scores[j] += scores
+            is_ess = t in essential
+            for docs, scores in (ess_parts if is_ess else tail_parts).get(t, ()):
+                if is_ess:
+                    docs, scores = scores_at(docs, scores, cand)
+                cand_scores[np.searchsorted(cand, docs)] += scores
         return bm25.rank_topk(self._doc_ids, cand_scores, k, ords=cand)
 
     def match_scores(self, query: str) -> tuple[np.ndarray, np.ndarray]:
@@ -424,12 +493,13 @@ class ShardedQueryEngine:
 
     def _match_ords(self, query: str) -> np.ndarray:
         """Full match-set ordinals (postings union across the owning
-        shards) — the aggregation input. Rides the coordinator's hot
-        partial cache, so a facet after a topk on the same terms ships
-        nothing."""
+        shards and stripes) — the aggregation input. Rides the
+        coordinator's hot partial cache, so a facet after a topk on the
+        same terms ships nothing."""
         terms = sorted(set(tokenize_query(query)))
         by_term = self._scatter("partial_scores", terms)
-        hits = [v[0] for v in by_term.values() if len(v[0])]
+        hits = [d for slices in by_term.values() for d, _s in slices
+                if len(d)]
         if not hits:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(hits))
@@ -499,23 +569,16 @@ class ShardedQueryEngine:
                 out[i] = (hit[0].copy(), hit[1].copy())
             else:
                 need.append(i)
-        # single-term queries rank on their owning actors in ONE batched
-        # RPC per actor (champion-cached, k rows shipped per term) —
-        # never a df-sized partial for a fused head-term lookup
+        # single-term queries rank on their owning actors — never a
+        # df-sized partial for a fused head-term lookup
         singles = sorted({lives[i][0] for i in need if len(lives[i]) == 1})
-        single_res: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if singles:
-            refs = [self.readers[a].topk_single_many.remote(ts, k)
-                    for a, ts in group_by_reader(singles, self.num_shards,
-                                                 len(self.readers))]
-            for part in ray.get(refs):
-                single_res.update(part)
+        single_res = self._topk_singles(singles, k) if singles else {}
         union = sorted({t for i in need if len(lives[i]) > 1
                         for t in lives[i]})
         by_term = self._scatter("partial_scores", union) if union else {}
         jobs: list[tuple[int, list[str]]] = []
         for i in need:
-            if len(lives[i]) == 1:             # pre-ranked on the shard
+            if len(lives[i]) == 1:             # pre-ranked on the shards
                 live = lives[i]
                 res = single_res.get(live[0], (np.empty(0, np.int64),
                                                np.empty(0, np.float64)))
@@ -532,8 +595,7 @@ class ShardedQueryEngine:
         # thread pool (GIL-releasing numpy; per-thread accumulators;
         # bit-identical per query) — cache puts stay on this thread
         for i, live, res in fused_combine_rank(
-                self, self.n_docs, jobs,
-                lambda t: ([by_term[t]] if t in by_term else ()),
+                self, self.n_docs, jobs, lambda t: by_term.get(t, ()),
                 k, self._doc_ids):
             self._requests.put(RequestCache.key(live, k),
                                (res[0].copy(), res[1].copy()))

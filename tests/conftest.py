@@ -7,6 +7,13 @@ import ray
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
+def pytest_configure(config):
+    # read by pytest-timeout where it is installed; registered so that
+    # runs without the plugin accept the mark silently
+    config.addinivalue_line(
+        "markers", "timeout(seconds): per-test deadline (pytest-timeout)")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
     ray.init(

@@ -30,6 +30,9 @@ B.build_index({docs!r}, {idx!r}, cfg, num_parts=6)
 """
 
 
+# the mark needs pytest-timeout; without it, the subprocess phases are
+# still bounded by their own waits: 120 s for the first run commit and
+# 30 s for the killed process group to exit
 @pytest.mark.timeout(300)
 def test_sigkill_mid_build_then_resume(ray_session, tiny_pages, tmp_path):
     pages_dir, _ = tiny_pages

@@ -20,7 +20,7 @@ def test_package_build_and_serving_leave_ray_data_unimported():
         "import ray, pyarrow\n"
         "import snowplow_elasticsearch_loader_ray\n"
         "from snowplow_elasticsearch_loader_ray.pipelines import (\n"
-        "    build, grid_query, query, sharded_query)\n"
+        "    build, query, sharded_query)\n"
         "print(sorted(m for m in ('ray.data', 'pandas') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=ROOT)

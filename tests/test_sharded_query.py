@@ -34,14 +34,11 @@ def test_grid_engine_bit_identical(ray_session, tmp_path):
     """(term shard x doc partition) grid scores must be BIT-identical to
     the single-process reader, for a partition count that does not
     divide the shard count."""
-    from snowplow_elasticsearch_loader_ray.pipelines.grid_query import (
-        GridQueryEngine)
-
     cfg = IndexConfig(num_term_shards=8)
     idx = str(tmp_path / "gidx")
     B.build_index("/root/testdata/sf0.001/documents.parquet", idx, cfg)
     single = QueryEngine(idx)
-    grid = GridQueryEngine(idx, n_doc_parts=3)
+    grid = ShardedQueryEngine(idx, n_doc_parts=3)
     try:
         for q in QUERIES:
             d1, s1 = single.topk(q, 10)
@@ -52,16 +49,52 @@ def test_grid_engine_bit_identical(ray_session, tmp_path):
         grid.shutdown()
 
 
-def test_sharded_reader_survives_actor_kill(ray_session, tmp_path):
+def test_doc_parts_match_scores_and_tf_partials(ray_session, idx16):
+    """With three doc partitions, the full match set (``match_scores``,
+    the multi-field engine's per-field scorer) equals the single
+    reader's TAAT sums bit for bit, and each term's raw tf slices
+    (``tf_partials``, the BM25F input) are doc-disjoint and together
+    equal its decoded posting list."""
+    from snowplow_elasticsearch_loader_ray.pipelines.query import (
+        IndexReader, _taat_scores)
+
+    r = IndexReader(idx16)
+    eng = ShardedQueryEngine(idx16, n_doc_parts=3)
+    try:
+        assert len(eng.readers) == 3 * 4         # 3 stripes x 4 CPUs
+        for q in QUERIES + [" ".join(_words_per_shard(16))]:
+            i1, m1 = _taat_scores(r, q)
+            i2, m2 = eng.match_scores(q)
+            np.testing.assert_array_equal(i1, i2, err_msg=q)
+            np.testing.assert_array_equal(m1, m2, err_msg=q)
+        terms = sorted(r.terms)
+        got = eng._scatter_raw("tf_partials", terms)
+        assert sorted(got) == terms
+        for t, slices in got.items():
+            assert 1 <= len(slices) <= 3, t
+            docs = np.concatenate([d for d, _ in slices])
+            tfs = np.concatenate([f for _, f in slices])
+            order = np.argsort(docs)
+            want_d, want_f = r.postings(t).decode_all()
+            np.testing.assert_array_equal(docs[order], want_d, err_msg=t)
+            np.testing.assert_array_equal(tfs[order], want_f, err_msg=t)
+    finally:
+        eng.shutdown()
+
+
+@pytest.mark.parametrize("n_doc_parts", [1, 3])
+def test_sharded_reader_survives_actor_kill(ray_session, tmp_path,
+                                            n_doc_parts):
     """Serving-layer fault tolerance: kill a reader actor mid-service;
-    Ray restarts it (reloading its shard from the committed index) and
-    the next query returns identical results."""
+    Ray restarts it (reloading its shard, or its doc stripe of it, from
+    the committed index) and the next query returns identical
+    results."""
     import ray
 
     cfg = IndexConfig(num_term_shards=8)
     index_dir = str(tmp_path / "idx_kill")
     B.build_index("/root/testdata/sf0.001/documents.parquet", index_dir, cfg)
-    eng = ShardedQueryEngine(index_dir)
+    eng = ShardedQueryEngine(index_dir, n_doc_parts=n_doc_parts)
     try:
         before_d, before_s = eng.topk("the data", 10)
         ray.kill(eng.readers[0], no_restart=False)
@@ -74,10 +107,8 @@ def test_sharded_reader_survives_actor_kill(ray_session, tmp_path):
 
 def test_msearch_bit_identical_to_per_query_topk(ray_session, tmp_path):
     """_msearch fuses the scatter; results must equal per-query topk
-    bit-for-bit on both distributed planes and in-process."""
-    from snowplow_elasticsearch_loader_ray.pipelines.grid_query import (
-        GridQueryEngine)
-
+    bit-for-bit in-process and on the distributed plane with one and
+    with three doc partitions."""
     cfg = IndexConfig(num_term_shards=8)
     idx = str(tmp_path / "midx")
     B.build_index("/root/testdata/sf0.001/documents.parquet", idx, cfg)
@@ -86,7 +117,7 @@ def test_msearch_bit_identical_to_per_query_topk(ray_session, tmp_path):
     assert [w[0].tolist() for w in single.msearch(QUERIES, 10)] == \
         [w[0].tolist() for w in want]
     for mk in (lambda: ShardedQueryEngine(idx),
-               lambda: GridQueryEngine(idx, n_doc_parts=3)):
+               lambda: ShardedQueryEngine(idx, n_doc_parts=3)):
         eng = mk()
         try:
             got = eng.msearch(QUERIES, 10)
@@ -133,7 +164,7 @@ def test_short_lists_equal_scored_list(ray_session, tmp_path):
     B.build_index(str(tmp_path / "docs.parquet"), idx,
                   IndexConfig(num_term_shards=4))
     reader = IndexReader(idx)
-    want = {t: scored_list(reader, PostingList(e[2]))
+    want = {t: scored_list(reader, PostingList(e[2]), e[0])
             for t, e in reader.terms.items()}
     short = sorted(t for t, e in reader.terms.items()
                    if PostingList(e[2]).n_blocks == 1)
@@ -186,8 +217,6 @@ def test_serving_caches_bit_identical(ray_session, tmp_path):
     """Champion lists + request cache: warm repeats, varied k order and
     deep-k champion bypass all return the single reader's exact arrays,
     and a caller mutating a returned array cannot corrupt the cache."""
-    from snowplow_elasticsearch_loader_ray.pipelines.grid_query import (
-        GridQueryEngine)
     from snowplow_elasticsearch_loader_ray.pipelines.servecache import CHAMP_K
 
     cfg = IndexConfig(num_term_shards=8)
@@ -195,7 +224,7 @@ def test_serving_caches_bit_identical(ray_session, tmp_path):
     B.build_index("/root/testdata/sf0.001/documents.parquet", idx, cfg)
     single = QueryEngine(idx)
     for mk in (lambda: ShardedQueryEngine(idx),
-               lambda: GridQueryEngine(idx, n_doc_parts=3)):
+               lambda: ShardedQueryEngine(idx, n_doc_parts=3)):
         eng = mk()
         try:
             # k descending then ascending: champion prefix slices and
@@ -217,10 +246,15 @@ def test_serving_caches_bit_identical(ray_session, tmp_path):
             eng.shutdown()
 
 
-def test_sharded_facets_bit_identical_to_single_reader(ray_session, tmp_path):
+@pytest.mark.parametrize("n_doc_parts", [1, 3])
+def test_sharded_facets_bit_identical_to_single_reader(ray_session, tmp_path,
+                                                       n_doc_parts):
     """Distributed aggregations: the sharded plane's lang terms facet
-    and doclen stats facet equal the single reader's exactly, and the
-    facet after a topk rides the coordinator's partial cache."""
+    and doclen stats facet equal the single reader's exactly, with one
+    doc partition or several, and the facet after a topk rides the
+    coordinator's partial cache; a ``_search`` body with ``terms`` and
+    ``stats`` aggs runs through the distributed planner."""
+    from snowplow_elasticsearch_loader_ray.pipelines import query_dsl as DSL
     from snowplow_elasticsearch_loader_ray.pipelines.query import (
         IndexReader, facet_doclen_stats, facet_lang_counts)
 
@@ -228,7 +262,7 @@ def test_sharded_facets_bit_identical_to_single_reader(ray_session, tmp_path):
     index_dir = str(tmp_path / "idx_facet")
     B.build_index("/root/testdata/sf0.001/documents.parquet", index_dir, cfg)
     r = IndexReader(index_dir)
-    eng = ShardedQueryEngine(index_dir)
+    eng = ShardedQueryEngine(index_dir, n_doc_parts=n_doc_parts)
     try:
         for q in ["data stream", "slow query table", "zzznoterm"]:
             assert eng.facet_lang_counts(q) == facet_lang_counts(r, q)
@@ -236,6 +270,48 @@ def test_sharded_facets_bit_identical_to_single_reader(ray_session, tmp_path):
         # warm path: same facet twice (cache-hit) stays identical
         a = eng.facet_lang_counts("data stream")
         assert a == eng.facet_lang_counts("data stream")
+        body = {"query": {"match": {"text": "data stream"}},
+                "size": 7, "from": 3,
+                "aggs": {"langs": {"terms": {"field": "lang"}},
+                         "dl": {"stats": {"field": "doclen"}}}}
+        d, s, aggs = DSL.execute_distributed(eng, body)
+        sd, ss, saggs = DSL.execute_with_aggs(r, body)
+        np.testing.assert_array_equal(d, sd)
+        np.testing.assert_array_equal(s, ss)
+        assert aggs == saggs and aggs["langs"] and aggs["dl"]["n_docs"]
+    finally:
+        eng.shutdown()
+
+
+def test_doc_parts_must_be_positive(tmp_path):
+    """Zero doc partitions would start no reader and answer every query
+    with nothing; the engine refuses before it reads the index."""
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="n_doc_parts"):
+            ShardedQueryEngine(str(tmp_path / "no_index"), n_doc_parts=bad)
+
+
+def test_meta_cache_stays_bounded_with_doc_parts(ray_session, idx16):
+    """The coordinator's term-meta LRU keeps its cap with several doc
+    partitions: capped at 4 entries, ten distinct one- and two-term
+    queries leave at most 4 entries and every answer still equals the
+    single reader's (evicted terms are fetched again)."""
+    single = QueryEngine(idx16)
+    terms = sorted(single.reader.terms)[:10]
+    assert len(terms) == 10
+    eng = ShardedQueryEngine(idx16, n_doc_parts=3)
+    try:
+        eng._meta_cache_cap = 4
+        for rep in range(2):
+            for i, t in enumerate(terms):
+                q = t if rep == 0 else f"{t} {terms[i - 1]}"
+                d1, s1 = single.topk(q, 10)
+                d2, s2 = eng.topk(q, 10)
+                assert len(d1), q
+                np.testing.assert_array_equal(d1, d2, err_msg=q)
+                np.testing.assert_array_equal(s1, s2, err_msg=q)
+                assert len(eng._meta_cache) <= 4
+        assert set(eng._meta_cache) <= set(terms)
     finally:
         eng.shutdown()
 
@@ -244,10 +320,8 @@ def test_msearch_threaded_combine_bit_identical(ray_session, tmp_path):
     """A wave of 24 distinct multi-term queries (request cache OFF)
     exercises the coordinator's combine THREAD POOL
     (servecache.fused_combine_rank) — every result must still equal
-    the per-query topk bit-for-bit, on both distributed planes."""
-    from snowplow_elasticsearch_loader_ray.pipelines.grid_query import (
-        GridQueryEngine)
-
+    the per-query topk bit-for-bit, with one and with three doc
+    partitions."""
     cfg = IndexConfig(num_term_shards=8)
     idx = str(tmp_path / "tidx")
     B.build_index("/root/testdata/sf0.001/documents.parquet", idx, cfg)
@@ -257,7 +331,7 @@ def test_msearch_threaded_combine_bit_identical(ray_session, tmp_path):
         ["the data table", "merge sort value"]
     want = [single.topk(q, 10) for q in wave]
     for mk in (lambda: ShardedQueryEngine(idx),
-               lambda: GridQueryEngine(idx, n_doc_parts=3)):
+               lambda: ShardedQueryEngine(idx, n_doc_parts=3)):
         eng = mk()
         try:
             eng.request_cache_enabled = False
