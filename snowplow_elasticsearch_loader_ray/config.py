@@ -74,14 +74,15 @@ class IndexConfig:
 
     # --- NRT / small-build fast path ---
     # A corpus at or below this many docs (parquet footer count) builds
-    # inline in the calling process, emitting the exact same on-disk
-    # artifacts (run parts, docmap parts, segment shards, manifests —
-    # resume-compatible with the distributed path). A refresh-interval
-    # delta is sized by the stream rate, not the corpus, and the
-    # distributed build's per-stage Ray Data pipelines carry seconds of
-    # fixed overhead that would dominate the stream→searchable latency
-    # (the reference's actual SLO); Lucene flushes such segments
-    # in-process for the same reason. 0 disables the fast path.
+    # inline in the calling process, emitting the exact same docmap
+    # parts, segment shards and manifests as the distributed path
+    # (resume-compatible with it) but keeping the run exchange in
+    # memory: it writes no runs/ files. A refresh-interval delta is
+    # sized by the stream rate, not the corpus, and the distributed
+    # build's per-stage task scheduling carries fixed overhead that
+    # would dominate the stream→searchable latency (the reference's
+    # actual SLO); Lucene flushes such segments in-process for the same
+    # reason. 0 disables the fast path.
     inline_build_max_docs: int = 20_000
 
     # test hook: fail the build after N committed partitions (resume tests)

@@ -54,10 +54,24 @@ counters. No stage starts a Ray Data execution.
 4. **finalize**: N / avgdl / counters roll up from manifests (the
    running-counter analogue of ``Processing.scala:237-249``) into
    ``stats.json`` + ``metrics.json`` + an ``index`` manifest.
+
+**Inline fast path** (``_build_index_inline``, corpora at or below
+``cfg.inline_build_max_docs``): phases 1 and 2 run in the calling
+process over the same kernels, and the exchange never leaves memory —
+the phase-1 chunks, term column still dictionary-typed, go straight to
+the phase-2 encode. Its docmap parts and segments match the distributed
+path's byte for byte, and so do its manifests, except that they name no
+run files: nothing is written under ``runs/``, a ``runs-part`` manifest
+declares only its docmap file, and a segment manifest lists the input
+doc files.
+Resume crosses the paths: the inline build re-tokenizes committed parts
+in memory, and the distributed phase 1 re-runs any part committed
+without run files, so phase 2 never encodes a subset of the parts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
 import re
@@ -72,7 +86,8 @@ import ray
 
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
 from ..stages.extract import ExtractTransform
-from ..stages.postings import RUN_SCHEMA, TokenizeFilePostings
+from ..stages.postings import (CHUNK_SCHEMA, RUN_SCHEMA,
+                               TokenizeFilePostings)
 from ..stages.segment import encode_shard_tables, SEGMENT_SCHEMA
 from ..stages.transforms import with_retries
 from ..state import manifest as mf
@@ -215,6 +230,9 @@ def good_docs_dir(ingest_out_dir: str) -> str:
 #: old-format parts.
 RUN_FORMAT = 3
 
+#: the run columns phase 2 encodes from
+PHASE2_COLUMNS = ["shard", "term", "ord", "tf"]
+
 
 def _plan_parts(files: list[str], target_parts: int | None) -> list[list[str]]:
     """Group input files into resume partitions (file granularity).
@@ -291,29 +309,35 @@ def _open_part(index_dir: str, k: int, n_files: int) -> list[str]:
     return [os.path.join(tmp, f"run-{i:05d}.parquet") for i in range(n_files)]
 
 
-def _tokenize_file(path: str, base: int, run_path: str, cfg: IndexConfig,
+def _tokenize_file(path: str, base: int, cfg: IndexConfig,
+                   run_path: str | None = None,
                    keep: list[pa.Table] | None = None
                    ) -> tuple[dict[str, np.ndarray], int]:
     """Phase 1 for one input file → (its docmap rows as numpy columns,
     its run row count).
 
-    Streams the file's chunks into the run file at ``run_path`` (one row
-    group per ``run_row_group_size`` rows of a chunk: each chunk is
-    sorted by shard, so the row groups stay shard-clustered and phase 2
-    prunes to its shards via the ``shard`` statistics, the only column
-    that gets them) and keeps the chunks' docmap rows (``shard == -1``,
-    the leading rows of each chunk) in memory, so the run file is never
-    read back. The docmap leaves the task as numpy columns: a returned
-    Arrow table would make Ray's serializer import ``ray.data`` in the
-    worker. ``keep`` (the inline build) collects the chunks for an
-    in-memory phase 2. A retry rewrites the same file."""
+    With ``run_path`` (the distributed build) it streams the file's
+    chunks, cast to ``RUN_SCHEMA``, into that run file (one row group
+    per ``run_row_group_size`` rows of a chunk: each chunk is sorted by
+    shard, so the row groups stay shard-clustered and phase 2 prunes to
+    its shards via the ``shard`` statistics, the only column that gets
+    them). ``keep`` (the inline build) collects each chunk's posting
+    rows, term column still dictionary-typed, for an in-memory phase 2.
+    Either way the chunks' docmap rows (``shard == -1``, the leading
+    rows of each chunk) are kept in memory, so a run file is never read
+    back. The docmap leaves the task as numpy columns: a returned Arrow
+    table would make Ray's serializer import ``ray.data`` in the worker.
+    A retry rewrites the same file."""
     run_rows = 0
     docmap = [DOCMAP_SCHEMA.empty_table()]
     items = pa.table({"path": [path], "base": [base]})
-    with pq.ParquetWriter(run_path, RUN_SCHEMA, compression="zstd",
-                          write_statistics=["shard"]) as w:
+    with (pq.ParquetWriter(run_path, RUN_SCHEMA, compression="zstd",
+                           write_statistics=["shard"])
+          if run_path else contextlib.nullcontext()) as w:
         for chunk in TokenizeFilePostings(cfg)(items):
-            w.write_table(chunk, row_group_size=cfg.run_row_group_size)
+            if w is not None:
+                w.write_table(chunk.cast(RUN_SCHEMA),
+                              row_group_size=cfg.run_row_group_size)
             run_rows += chunk.num_rows
             n_docs = int(np.searchsorted(chunk["shard"].to_numpy(),
                                          DOCMAP_SHARD, side="right"))
@@ -323,7 +347,7 @@ def _tokenize_file(path: str, base: int, run_path: str, cfg: IndexConfig,
                  "doclen": t["tf"].cast(pa.int64()), "lang": t["lang"]},
                 schema=DOCMAP_SCHEMA))
             if keep is not None:
-                keep.append(chunk)
+                keep.append(chunk.slice(n_docs).select(PHASE2_COLUMNS))
     dm = pa.concat_tables(docmap)
     return {c: dm[c].to_numpy() for c in DOCMAP_SCHEMA.names}, run_rows
 
@@ -331,21 +355,25 @@ def _tokenize_file(path: str, base: int, run_path: str, cfg: IndexConfig,
 @ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
 def _tokenize_file_task(path: str, base: int, run_path: str,
                         cfg: IndexConfig) -> tuple[dict[str, np.ndarray], int]:
-    return _tokenize_file(path, base, run_path, cfg)
+    return _tokenize_file(path, base, cfg, run_path=run_path)
 
 
 def _close_part(index_dir: str, k: int, files_k: list[str],
                 outs: list[tuple[dict[str, np.ndarray], int]],
-                t0: float) -> dict:
-    """Commit part K's run files (tmp-dir rename), write
-    ``docmap/part-K.parquet`` from its files' docmap columns (``outs``
-    in file order) → the ``runs-part-K`` manifest payload (the caller
-    commits it)."""
-    runs_dir = os.path.join(index_dir, "runs")
-    final = os.path.join(runs_dir, _part_name(k))
-    # runs are shuffle intermediates: recompute-on-loss, not fsync
-    mf.commit_dir_rename(os.path.join(runs_dir, "_tmp_" + _part_name(k)),
-                         final, durable=False)
+                t0: float, with_runs: bool = True) -> dict:
+    """Commit part K's run files (tmp-dir rename) when ``with_runs``,
+    write ``docmap/part-K.parquet`` from its files' docmap columns
+    (``outs`` in file order) → the ``runs-part-K`` manifest payload (the
+    caller commits it). Its ``outputs`` name the run dir only when the
+    part has one: phase 1 re-runs a part committed without it."""
+    outputs = []
+    if with_runs:
+        runs_dir = os.path.join(index_dir, "runs")
+        final = os.path.join(runs_dir, _part_name(k))
+        # runs are shuffle intermediates: recompute-on-loss, not fsync
+        mf.commit_dir_rename(os.path.join(runs_dir, "_tmp_" + _part_name(k)),
+                             final, durable=False)
+        outputs.append(os.path.relpath(final, index_dir))
     # files follow ordinal order and each chunk's docmap rows have
     # strictly increasing ords, so the docmap is already ord-sorted
     dm = pa.table({c: np.concatenate([d[c] for d, _ in outs])
@@ -356,6 +384,7 @@ def _close_part(index_dir: str, k: int, files_k: list[str],
     dm_out = os.path.join(dm_dir, f"part-{k:04d}.parquet")
     pq.write_table(dm, dm_out + ".tmp", compression="zstd")
     os.replace(dm_out + ".tmp", dm_out)
+    outputs.append(os.path.relpath(dm_out, index_dir))
     return {
         "part": k,
         "stage": "runs",
@@ -365,11 +394,17 @@ def _close_part(index_dir: str, k: int, files_k: list[str],
         "counters": {"docs": dm.num_rows,
                      "tokens": int(pc.sum(dm["doclen"]).as_py() or 0),
                      "postings": run_rows - dm.num_rows},
-        "outputs": [os.path.relpath(final, index_dir),
-                    os.path.relpath(dm_out, index_dir)],
+        "outputs": outputs,
         "durable": False,          # shuffle intermediate (rerun part)
         "wall_s": round(time.time() - t0, 3),
     }
+
+
+def _run_outputs(m: dict) -> list[str]:
+    """The run dirs a ``runs-part`` manifest declares (none for a part
+    the inline build committed)."""
+    return [rel for rel in m.get("outputs", [])
+            if rel.split(os.sep)[0] == "runs"]
 
 
 def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
@@ -395,8 +430,9 @@ def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
 def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
                num_parts: int | None = None) -> None:
     """Phase 1. Parts are the RESUME granularity, files the parallelism
-    unit: one Ray task per input file of every uncommitted part, and a
-    part's manifest commits as soon as its last file task finishes.
+    unit: one Ray task per input file of every part not yet committed
+    with its run files, and a part's manifest commits as soon as its
+    last file task finishes.
     ``cfg.build_concurrency`` (when set) caps the tasks in flight. With
     the fail_after_parts test hook the tasks run one at a time so the
     commit count at failure is deterministic."""
@@ -405,8 +441,11 @@ def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
     bases = _ordinal_bases(doc_files)
     parts = _plan_parts(doc_files, num_parts)
     _check_resumable_parts(man_dir, parts)
-    todo = {k: files_k for k, files_k in enumerate(parts)
-            if not mf.is_committed(man_dir, f"runs-part-{k:04d}")}
+    # a part the inline build committed has a docmap but no run files:
+    # run it again, or phase 2 would encode the other parts' rows only
+    done = {m["part"] for m in mf.load_all(man_dir, prefix="runs-part-").values()
+            if _run_outputs(m)}
+    todo = {k: files_k for k, files_k in enumerate(parts) if k not in done}
     queue = [(k, i) for k, files_k in todo.items()
              for i in range(len(files_k))][::-1]
     cap = 1 if cfg.fail_after_parts is not None else \
@@ -493,9 +532,10 @@ def load_docvalues(index_dir: str, column: str = "lang"):
 
 
 def _write_segment(seg: pa.Table, index_dir: str, shard: int,
-                   run_files: list[str]) -> dict:
+                   input_files: list[str]) -> dict:
     """Write ``segments/shard-<s>.parquet`` (tmp + rename) → its
-    ``segment-shard`` manifest payload (the caller commits it)."""
+    ``segment-shard`` manifest payload (the caller commits it;
+    ``input_files`` is recorded as given)."""
     seg_dir = os.path.join(index_dir, "segments")
     os.makedirs(seg_dir, exist_ok=True)
     out = os.path.join(seg_dir, f"shard-{shard:04d}.parquet")
@@ -512,7 +552,7 @@ def _write_segment(seg: pa.Table, index_dir: str, shard: int,
     return {
         "part": shard,
         "stage": "segments",
-        "input_files": [os.path.relpath(f, index_dir) for f in run_files],
+        "input_files": input_files,
         "counters": {
             "terms": int(seg.num_rows),
             "postings": int(pc.sum(seg["df"]).as_py() or 0),
@@ -570,15 +610,6 @@ def _encode_shard_group(index_dir: str, shards: list[int],
             raise OSError(f"injected transient failure for shard {shard}")
 
     files = _run_files(index_dir)
-    if not files and mf.load_all(os.path.join(index_dir, "manifests"),
-                                 prefix="runs-part-"):
-        # committed run parts but no run files: runs were GC'd after the
-        # index committed. Re-encoding would silently produce an empty
-        # segment — fail loudly with the recovery path instead.
-        raise RuntimeError(
-            "runs/ was garbage-collected; to re-encode this shard, rerun "
-            "phase 1 first (delete the runs-part-* manifests and call "
-            "build_index again)")
     lo, hi = min(shards), max(shards)
     if files:
         # one row-group-pruned read for the whole contiguous shard
@@ -589,13 +620,14 @@ def _encode_shard_group(index_dir: str, shards: list[int],
         fmt = pads.ParquetFileFormat(read_options={"dictionary_columns": ["term"]})
         flt = (pads.field("shard") >= lo) & (pads.field("shard") <= hi)
         runs = pads.dataset(files, format=fmt).to_table(
-            columns=["shard", "term", "ord", "tf"], filter=flt)
+            columns=PHASE2_COLUMNS, filter=flt)
     else:
         runs = None
 
     segs = (encode_shard_tables(runs, shards, block_size) if runs is not None
             else [SEGMENT_SCHEMA.empty_table() for _ in shards])
-    return [_write_segment(seg, index_dir, shard, files)
+    inputs = [os.path.relpath(f, index_dir) for f in files]
+    return [_write_segment(seg, index_dir, shard, inputs)
             for shard, seg in zip(shards, segs)]
 
 
@@ -638,8 +670,18 @@ def build_segments(index_dir: str, cfg: IndexConfig) -> None:
                if not mf.is_committed(man_dir, f"segment-shard-{s:04d}")]
     if not missing:
         return
-    est = sum(m["counters"].get("postings", 0)
-              for m in mf.load_all(man_dir, prefix="runs-part-").values())
+    run_manifests = mf.load_all(man_dir, prefix="runs-part-")
+    for name, m in sorted(run_manifests.items()):
+        if not all(os.path.exists(os.path.join(index_dir, rel))
+                   for rel in _run_outputs(m)):
+            # runs were GC'd after the index committed: re-encoding would
+            # silently drop this part's postings — fail loudly with the
+            # recovery path instead
+            raise RuntimeError(
+                f"{name}: runs/ was garbage-collected; to re-encode, rerun "
+                "phase 1 first (delete the runs-part-* manifests and call "
+                "build_index again)")
+    est = sum(m["counters"].get("postings", 0) for m in run_manifests.values())
     groups = _plan_shard_groups(missing, cfg.num_term_shards, est)
     refs = [_encode_shard_group.remote(index_dir, g, cfg.block_size)
             for g in groups]
@@ -656,60 +698,46 @@ def _build_index_inline(files: list[str], index_dir: str,
                         cfg: IndexConfig) -> None:
     """Both phases in the calling process, for corpora at or below
     ``cfg.inline_build_max_docs`` (an NRT delta generation, a unit-test
-    fixture). Runs the distributed path's part body (``_open_part`` →
-    ``_tokenize_file`` → ``_close_part``, under the default per-file
-    grouping) and segment writer, so the artifacts and manifest
-    payloads are EXACTLY the distributed path's, and a build that
-    crashes here resumes under either path and vice versa. Phase 2
-    encodes the rows the parts just produced, from memory, with the
-    same one-sort kernel as a phase-2 task. The point is
-    latency: a refresh-interval delta is a few thousand docs, and
-    scheduling even a handful of Ray tasks per stage would dominate the
-    stream→searchable SLO
+    fixture). The point is latency: a refresh-interval delta is a few
+    thousand docs, and scheduling even a handful of Ray tasks per stage
+    would dominate the stream→searchable SLO
     (``ElasticsearchSink.scala:81-198`` loads a micro-batch
     synchronously for the same reason; Lucene's refresh flushes the
-    in-memory segment in-process)."""
-    import pyarrow.dataset as pads
+    in-memory segment in-process).
 
+    The exchange stays in memory: each file goes through the distributed
+    path's phase-1 kernel (``_tokenize_file``) without a run file, and
+    phase 2 encodes the kept chunks, their term columns still
+    dictionary-typed, with the same one-sort kernel as a phase-2 task.
+    Under the default per-file grouping, the docmap parts and segments
+    are EXACTLY the distributed path's, and the manifests differ only in
+    naming no run files (nothing is written under ``runs/``). Resume
+    works across the two paths: this path
+    re-tokenizes every part in memory (deterministic, well under a
+    second at this size) and commits only the parts not yet committed;
+    the distributed phase 1 re-runs any part committed without run
+    files before its phase 2 reads them."""
     man_dir = os.path.join(index_dir, "manifests")
-    runs_dir = os.path.join(index_dir, "runs")
-    os.makedirs(runs_dir, exist_ok=True)
     bases = _ordinal_bases(files)
     parts = _plan_parts(files, None)       # per-file: the distributed default
     _check_resumable_parts(man_dir, parts)
 
-    cols = ["shard", "term", "ord", "tf"]
-    rows: list[pa.Table] = [RUN_SCHEMA.empty_table().select(cols)]
+    chunks: list[pa.Table] = [CHUNK_SCHEMA.empty_table().select(PHASE2_COLUMNS)]
     for k, files_k in enumerate(parts):
-        if mf.is_committed(man_dir, f"runs-part-{k:04d}"):
-            # committed by a prior run: read its rows back
-            fs = sorted(glob.glob(os.path.join(runs_dir, _part_name(k),
-                                               "*.parquet")))
-            if not fs:
-                # same recovery contract as _encode_shard_group: committed
-                # part manifest but no run files means runs/ was reclaimed
-                raise RuntimeError(
-                    "runs/ was garbage-collected; to re-encode, rerun "
-                    "phase 1 first (delete the runs-part-* manifests and "
-                    "call build_index again)")
-            rows.append(pads.dataset(fs).to_table(columns=cols))
-            continue
-        t0, chunks = time.time(), []
-        outs = [_tokenize_file(f, bases[f], run_path, cfg, keep=chunks)
-                for f, run_path in zip(files_k, _open_part(index_dir, k,
-                                                           len(files_k)))]
-        mf.commit(man_dir, f"runs-part-{k:04d}",
-                  _close_part(index_dir, k, files_k, outs, t0))
-        rows += [c.select(cols) for c in chunks]
+        t0 = time.time()
+        outs = [_tokenize_file(f, bases[f], cfg, keep=chunks) for f in files_k]
+        if not mf.is_committed(man_dir, f"runs-part-{k:04d}"):
+            mf.commit(man_dir, f"runs-part-{k:04d}", _close_part(
+                index_dir, k, files_k, outs, t0, with_runs=False))
 
     missing = [s for s in range(cfg.num_term_shards)
                if not mf.is_committed(man_dir, f"segment-shard-{s:04d}")]
-    segs = encode_shard_tables(pa.concat_tables(rows), missing,
+    segs = encode_shard_tables(pa.concat_tables(chunks), missing,
                                cfg.block_size)
-    run_files = _run_files(index_dir)
+    inputs = [os.path.basename(f) for f in files]
     for shard, seg in zip(missing, segs):
         mf.commit(man_dir, f"segment-shard-{shard:04d}",
-                  _write_segment(seg, index_dir, shard, run_files))
+                  _write_segment(seg, index_dir, shard, inputs))
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """SPIMI posting construction over ordinal doc keys.
 
 One chunk of documents in → one sorted run of partial postings out:
-``(shard: int32, term: string, ord: int64, tf: int32,
+``(shard: int32, term: dictionary<string>, ord: int64, tf: int32,
 doc_id: int64|null, lang: string|null)``. This is the per-batch combiner (SURVEY.md §7
 stage 4): term frequencies are already aggregated per (doc, term)
 inside the chunk, so the downstream shard exchange moves one row per
@@ -30,11 +30,14 @@ vocabulary is ranked by (shard, first occurrence), and one
 and emits the postings in output order (ordinals increase with the
 row, so row order is ord order). No Python string is made per
 vocabulary term, and no per-posting string is hashed or sorted: the
-term column is built as a ``DictionaryArray`` over that same Arrow
-dictionary (plus the docmap rows' empty placeholder), and only the
-final cast to ``pa.string()`` (the run-file schema) materializes one
-string per posting. Writing the dictionary-typed column instead was
-measured slower (50 → 75 ms per build round), so the cast stays.
+term column is a ``DictionaryArray`` over that same Arrow dictionary
+(plus the docmap rows' empty placeholder), and the chunk leaves the
+kernel with it (``CHUNK_SCHEMA``). The in-process build keeps those
+chunks for its phase 2, which only unifies their dictionaries. The
+distributed build casts each chunk to ``RUN_SCHEMA`` (plain strings,
+one per posting) as it writes the run file: writing the
+dictionary-typed column there was measured slower (50 → 75 ms per
+build round).
 
 The chunk output is ordered by (shard, first-occurrence rank of the
 term in the chunk, ord) — docmap rows (shard = -1) lead. Terms are
@@ -64,12 +67,18 @@ RUN_SCHEMA = pa.schema(
     ]
 )
 
+#: what ``postings_chunk`` returns: ``RUN_SCHEMA`` with the term column
+#: still dictionary-encoded over the chunk's vocabulary
+CHUNK_SCHEMA = RUN_SCHEMA.set(
+    1, pa.field("term", pa.dictionary(pa.int32(), pa.string())))
+
 
 def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
                    texts: pa.Array | pa.ChunkedArray,
                    cfg: IndexConfig,
                    langs: pa.Array | None = None) -> pa.Table:
-    """One chunk of documents → sorted run rows (postings + docmap).
+    """One chunk of documents → sorted run rows (postings + docmap),
+    ``CHUNK_SCHEMA``-typed.
 
     ``langs`` (optional) is the per-doc ``lang`` doc-value: it rides the
     docmap rows into ``docmap/part-K.parquet`` so facet queries gather
@@ -125,7 +134,7 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
             "shard": pa.array(np.concatenate(
                 [np.full(n_docs, DOCMAP_SHARD, dtype=np.int32),
                  shard_lut[row_tidx]])),
-            "term": term_col.cast(pa.string()),
+            "term": term_col,
             "ord": pa.array(np.concatenate([ords, ords[row_doc]])),
             "tf": pa.array(np.concatenate([doclen, counts.astype(np.int32)])),
             "doc_id": pa.concat_arrays(
@@ -133,12 +142,12 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
                  pa.nulls(n_post, pa.int64())]),
             "lang": lang_col,
         },
-        schema=RUN_SCHEMA,
+        schema=CHUNK_SCHEMA,
     )
 
 
 class TokenizeFilePostings:
-    """``(path, base)`` items → run-row tables, one whole input file per
+    """``(path, base)`` items → run-row chunks, one whole input file per
     item, streamed in row-chunks (a generator ``map_batches`` stage, so
     a large file never materializes its postings at once).
 

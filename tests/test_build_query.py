@@ -367,16 +367,21 @@ def test_plan_shard_groups():
     assert all(len(grp) <= 2 for grp in g)
 
 
-def test_grouped_encode_matches_single_shard(built):
+def test_grouped_encode_matches_single_shard(built, tmp_path):
     """Segment bytes are identical whether phase 2 ran grouped or
-    per-shard: re-encode one group of shards and compare artifacts."""
+    per-shard: re-encode one group of shards of a distributed build (the
+    inline one writes no runs) and compare with the fixture's."""
+    import dataclasses
+
     import pyarrow.parquet as _pq
     import ray as _ray
 
-    index_dir = built[1]
+    index_dir = str(tmp_path / "dist")
+    B.build_index(B.good_docs_dir(built[0]), index_dir,
+                  dataclasses.replace(CFG, inline_build_max_docs=0))
     shards = [0, 1, 2]
     want = {s: _pq.read_table(
-        os.path.join(index_dir, "segments", f"shard-{s:04d}.parquet"))
+        os.path.join(built[1], "segments", f"shard-{s:04d}.parquet"))
         for s in shards}
     payloads = _ray.get(B._encode_shard_group.remote(index_dir, shards, 128))
     assert [p["part"] for p in payloads] == shards
@@ -398,9 +403,11 @@ def _artifact_sha1(index_dir):
 def test_build_paths_and_resumes_write_identical_artifacts(
         built, tmp_path, monkeypatch):
     """The inline build, the distributed build under the default phase-2
-    grouping and under groups of one or two shards, and a resume of
-    shards {1, 4, 5} on both paths (a gap inside a group's range) write
-    the same bytes to every segments/ and docmap/ file."""
+    grouping and under groups of one or two shards, both paths over
+    64-doc chunks (several chunk dictionaries per file for the inline
+    phase 2 to unify), and a resume of shards {1, 4, 5} on both paths
+    (a gap inside a group's range) write the same bytes to every
+    segments/ and docmap/ file. The inline build writes no runs/."""
     import dataclasses
 
     from snowplow_elasticsearch_loader_ray.state import manifest as mf
@@ -425,8 +432,13 @@ def test_build_paths_and_resumes_write_identical_artifacts(
 
     want = build("inline", CFG)
     assert "phase2_segments_s" not in B.index_metrics(str(tmp_path / "inline"))
+    assert not os.path.exists(str(tmp_path / "inline" / "runs"))
     assert len(want) == n + len(glob.glob(os.path.join(docs, "*.parquet")))
     assert build("dist", dist_cfg) == want
+    small = dataclasses.replace(CFG, batch_size=64)
+    assert build("inline_small_chunks", small) == want
+    assert build("dist_small_chunks", dataclasses.replace(
+        small, inline_build_max_docs=0)) == want
     est = B.index_metrics(str(tmp_path / "dist"))["postings"]
     monkeypatch.setattr(B, "PHASE2_GROUP_POSTINGS", 2 * (est // n))
     groups = B._plan_shard_groups(list(range(n)), n, est)

@@ -9,7 +9,7 @@ from snowplow_elasticsearch_loader_ray.config import DOCMAP_SHARD, IndexConfig
 from snowplow_elasticsearch_loader_ray.sources import synth
 from snowplow_elasticsearch_loader_ray.stages.extract import ExtractTransform
 from snowplow_elasticsearch_loader_ray.stages.postings import (
-    RUN_SCHEMA, postings_chunk)
+    CHUNK_SCHEMA, RUN_SCHEMA, postings_chunk)
 from snowplow_elasticsearch_loader_ray.tokenizer import (
     term_shard_one, tokenize_to_terms)
 
@@ -63,13 +63,18 @@ def test_postings_chunk_matches_lexsort_reference(shards):
         [good["lang"].combine_chunks(), pa.array(["en", None, "de"])])
     ids = np.arange(len(texts), dtype=np.int64) * 7 + 3
     ords = 1000 + np.cumsum(np.arange(len(texts)) % 3 + 1).astype(np.int64)
+    # the chunk's term column stays dictionary-typed; the run file holds
+    # its plain-string cast
     for lg in (langs, None):
         got = postings_chunk(ids, ords, texts, cfg, langs=lg)
         want = _lexsort_reference(ids, ords, texts, cfg, langs=lg)
-        assert got.equals(want)
+        assert got.schema == CHUNK_SCHEMA
+        assert got.cast(RUN_SCHEMA).equals(want)
     empty = pa.array([], pa.string())
-    assert postings_chunk(np.array([], np.int64), np.array([], np.int64),
-                          empty, cfg).equals(
+    got = postings_chunk(np.array([], np.int64), np.array([], np.int64),
+                         empty, cfg)
+    assert got.schema == CHUNK_SCHEMA
+    assert got.cast(RUN_SCHEMA).equals(
         _lexsort_reference(np.array([], np.int64), np.array([], np.int64),
                            empty, cfg))
 

@@ -178,16 +178,17 @@ def test_transient_segment_failure_retried(docs_dir, tmp_path_factory):
 
 
 def test_gc_runs_reclaims_exchange(ray_session, tmp_path):
-    """gc_runs deletes the materialized exchange after index commit;
-    queries still serve, premature GC refuses, and a post-GC re-encode
-    attempt fails loudly instead of writing an empty segment."""
+    """gc_runs deletes the materialized exchange of a distributed build
+    after index commit; queries still serve, premature GC refuses, and a
+    post-GC re-encode attempt fails loudly instead of writing a segment
+    without the reclaimed parts' postings."""
     import pytest
 
     from snowplow_elasticsearch_loader_ray.pipelines.query import QueryEngine
 
     docs = "/root/testdata/sf0.001/documents.parquet"
     idx = str(tmp_path / "gc_idx")
-    cfg = IndexConfig(num_term_shards=4)
+    cfg = IndexConfig(num_term_shards=4, inline_build_max_docs=0)
     with pytest.raises(ValueError):
         B.build_runs([docs], idx, cfg), B.gc_runs(idx)   # not committed yet
     import shutil as _sh
@@ -201,3 +202,59 @@ def test_gc_runs_reclaims_exchange(ray_session, tmp_path):
     os.remove(os.path.join(idx, "manifests", "index.json"))
     with pytest.raises(Exception, match="garbage-collected"):
         B.build_index(docs, idx, cfg)
+
+
+def test_gc_runs_on_inline_index(tmp_path):
+    """The inline build keeps its exchange in memory: no runs/ to
+    reclaim, and a dropped segment re-encodes from the docs to the same
+    bytes."""
+    docs = "/root/testdata/sf0.001/documents.parquet"
+    idx = str(tmp_path / "inline_idx")
+    cfg = IndexConfig(num_term_shards=4)
+    B.build_index(docs, idx, cfg)
+    assert not os.path.exists(os.path.join(idx, "runs"))
+    assert B.gc_runs(idx) == 0
+    man_dir = os.path.join(idx, "manifests")
+    old_hash = mf.load(man_dir, "segment-shard-0000")["content_hash"]
+    os.remove(mf.manifest_path(man_dir, "segment-shard-0000"))
+    os.remove(mf.manifest_path(man_dir, "index"))
+    B.build_index(docs, idx, cfg)
+    assert mf.load(man_dir, "segment-shard-0000")["content_hash"] == old_hash
+
+
+def _artifact_sha1(index_dir):
+    import hashlib
+
+    return {os.path.relpath(f, index_dir):
+            hashlib.sha1(open(f, "rb").read()).hexdigest()
+            for sub in ("segments", "docmap")
+            for f in sorted(glob.glob(os.path.join(index_dir, sub, "*")))}
+
+
+def test_distributed_resume_reruns_parts_committed_inline(
+        ray_session, docs_dir, tmp_path_factory):
+    """Inline-committed parts have no run files. A distributed resume
+    re-runs them instead of encoding segments from the other parts'
+    runs only: keep part 0 committed inline, drop every other part's
+    manifest and docmap plus all segment manifests and the index
+    manifest, resume with inline_build_max_docs=0, and the segments and
+    docmap equal a clean build's."""
+    import dataclasses
+
+    out = tmp_path_factory.mktemp("mixed")
+    idx, clean = str(out / "idx"), str(out / "clean")
+    B.build_index(docs_dir, clean, CFG)
+    B.build_index(docs_dir, idx, CFG)
+    assert not os.path.exists(os.path.join(idx, "runs"))
+    man_dir = os.path.join(idx, "manifests")
+    for name, m in mf.load_all(man_dir, prefix="runs-part-").items():
+        if m["part"] != 0:
+            os.remove(mf.manifest_path(man_dir, name))
+            os.remove(os.path.join(idx, "docmap", f"part-{m['part']:04d}.parquet"))
+    for name in mf.load_all(man_dir, prefix="segment-shard-"):
+        os.remove(mf.manifest_path(man_dir, name))
+    os.remove(mf.manifest_path(man_dir, "index"))
+    B.build_index(docs_dir, idx,
+                  dataclasses.replace(CFG, inline_build_max_docs=0))
+    assert _artifact_sha1(idx) == _artifact_sha1(clean)
+    assert B._run_outputs(mf.load(man_dir, "runs-part-0000"))
