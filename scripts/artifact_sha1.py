@@ -11,14 +11,18 @@ must be absent or empty; every artifact family is built under it:
 - ``dist``: distributed ``build_index`` (default phase-2 grouping);
 - ``dist_parts3``: distributed ``build_index`` with ``num_parts=3``;
 - ``inline``: the in-process build (``inline_build_max_docs``);
-- ``live``: ``LiveIndex.bootstrap`` plus one delta ``refresh``;
+- ``live``: ``LiveIndex.bootstrap``, one delta ``refresh``,
+  ``compact(force=True)`` and one ``update_by_query``;
 - ``merge``: ``merge_indexes`` of ``dist`` and an upsert delta index;
 - ``reshard``: ``reshard_index`` of ``dist`` to 8 shards;
 - ``positions``: ``build_positions``.
 
 Prints one JSON object, ``{"<family>/<path>": sha1}``, for every file
 under a ``segments/``, ``docmap/`` or ``positions/`` directory (manifests
-and ``runs/`` carry wall times and intermediates, so they are left out).
+and ``runs/`` carry wall times and intermediates, so they are left out),
+and one entry per live generation's ``_delta_docs`` (the stored source):
+the sha1 of its rows sorted by doc_id, so the hash does not depend on
+how the rows are split into files or what the files are called.
 Two checkouts produce the same artifacts when their outputs are equal:
 
     diff <(python scripts/artifact_sha1.py $PARENT /tmp/a) \\
@@ -58,12 +62,47 @@ def artifact_hashes(root: str) -> dict[str, str]:
     return out
 
 
+def delta_docs_hashes(root: str) -> dict[str, str]:
+    """``{<gen>/_delta_docs: sha1}`` of each generation's stored-source
+    rows (doc_id, text, lang) below a live index ``root``, sorted by
+    doc_id."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    out = {}
+    for gen in sorted(os.listdir(root)):
+        d = os.path.join(root, gen, "_delta_docs")
+        if not os.path.isdir(d):
+            continue
+        t = pa.concat_tables(
+            pq.read_table(os.path.join(d, f), columns=["doc_id", "text", "lang"])
+            .cast(pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
+                             ("lang", pa.string())]))
+            for f in sorted(os.listdir(d)) if f.endswith(".parquet"))
+        t = t.sort_by("doc_id")
+        rows = json.dumps([t[c].to_pylist() for c in t.column_names])
+        out[os.path.join(gen, "_delta_docs")] = hashlib.sha1(
+            rows.encode()).hexdigest()
+    return out
+
+
+def live_family_hashes(root: str) -> dict[str, str]:
+    """Index artifacts and stored-source rows of a live index's current
+    generations (generation names are never reused)."""
+    return {**artifact_hashes(root), **delta_docs_hashes(root)}
+
+
 def main(package_root: str, out: str) -> None:
     root = os.path.abspath(package_root)
+    out = os.path.abspath(out)
     sys.path.insert(0, root)
-    # Ray workers import the package too: they inherit this environment
+    # Ray workers import the package too: they inherit this environment,
+    # and put the driver's working directory first on their path, so the
+    # driver runs from the package root (from another checkout's root,
+    # the workers would import that checkout's package)
     os.environ["PYTHONPATH"] = os.pathsep.join(
         [root] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    os.chdir(root)
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -122,12 +161,17 @@ def main(package_root: str, out: str) -> None:
                             texts + new_texts)),
             f"{out}/stream", purpose="json", cfg=cfg)
         live.refresh(f"{out}/stream")
+        # compaction deletes the generations it merges: hash them first
+        live_hashes = live_family_hashes(f"{out}/live")
+        live.compact(force=True)
+        live.update_by_query("babahe bagaso", lambda t: t + " updated")
+        live_hashes.update(live_family_hashes(f"{out}/live"))
     finally:
         ray.shutdown()
 
-    hashes = {}
-    for family in ("dist", "dist_parts3", "inline", "live", "merge",
-                   "reshard", "positions"):
+    hashes = {f"live/{rel}": h for rel, h in live_hashes.items()}
+    for family in ("dist", "dist_parts3", "inline", "merge", "reshard",
+                   "positions"):
         for rel, h in artifact_hashes(os.path.join(out, family)).items():
             hashes[f"{family}/{rel}"] = h
     print(json.dumps(hashes, indent=1, sort_keys=True))

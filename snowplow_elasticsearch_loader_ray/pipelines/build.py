@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import itertools
 import os
 import re
 import shutil
@@ -253,14 +254,25 @@ def _plan_parts(files: list[str], target_parts: int | None) -> list[list[str]]:
     return out
 
 
-def _footer_rows(files: list[str]) -> int:
-    """Exact row count from parquet footers (metadata only, no scan)."""
+def _footer_counts(files: list[str]) -> list[int]:
+    """Exact row count of each file from its parquet footer (metadata
+    only, no scan), read on a thread pool past 8 files."""
+    def rows(f: str) -> int:
+        return pq.ParquetFile(f).metadata.num_rows
+
     if len(files) > 8:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=16) as pool:
-            return sum(pool.map(lambda f: pq.ParquetFile(f).metadata.num_rows, files))
-    return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+            return list(pool.map(rows, files))
+    return [rows(f) for f in files]
+
+
+def _ordinal_bases(doc_files: list[str], counts: list[int]) -> dict[str, int]:
+    """Doc-ordinal base offset per input file: cumulative footer row
+    counts over the SORTED global file list — deterministic across
+    resumes, independent of part grouping."""
+    return dict(zip(doc_files, itertools.accumulate([0] + counts)))
 
 
 DOCMAP_SCHEMA = pa.schema([
@@ -269,18 +281,6 @@ DOCMAP_SCHEMA = pa.schema([
     ("doclen", pa.int64()),
     ("lang", pa.string()),          # doc-value (null if the input had none)
 ])
-
-
-def _ordinal_bases(doc_files: list[str]) -> dict[str, int]:
-    """Doc-ordinal base offset per input file: cumulative footer row
-    counts (metadata only) over the SORTED global file list —
-    deterministic across resumes, independent of part grouping."""
-    bases: dict[str, int] = {}
-    at = 0
-    for f in doc_files:
-        bases[f] = at
-        at += pq.ParquetFile(f).metadata.num_rows
-    return bases
 
 
 def _part_name(k: int) -> str:
@@ -428,17 +428,20 @@ def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
 
 
 def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
-               num_parts: int | None = None) -> None:
+               num_parts: int | None = None,
+               counts: list[int] | None = None) -> None:
     """Phase 1. Parts are the RESUME granularity, files the parallelism
     unit: one Ray task per input file of every part not yet committed
     with its run files, and a part's manifest commits as soon as its
-    last file task finishes.
+    last file task finishes. ``counts``: the files' footer row counts,
+    when the caller has read them.
     ``cfg.build_concurrency`` (when set) caps the tasks in flight. With
     the fail_after_parts test hook the tasks run one at a time so the
     commit count at failure is deterministic."""
     man_dir = os.path.join(index_dir, "manifests")
     os.makedirs(os.path.join(index_dir, "runs"), exist_ok=True)
-    bases = _ordinal_bases(doc_files)
+    bases = _ordinal_bases(doc_files, counts if counts is not None
+                           else _footer_counts(doc_files))
     parts = _plan_parts(doc_files, num_parts)
     _check_resumable_parts(man_dir, parts)
     # a part the inline build committed has a docmap but no run files:
@@ -694,8 +697,8 @@ def build_segments(index_dir: str, cfg: IndexConfig) -> None:
 # inline fast path (delta-sized corpora)
 # --------------------------------------------------------------------------
 
-def _build_index_inline(files: list[str], index_dir: str,
-                        cfg: IndexConfig) -> None:
+def _build_index_inline(files: list[str], counts: list[int],
+                        index_dir: str, cfg: IndexConfig) -> None:
     """Both phases in the calling process, for corpora at or below
     ``cfg.inline_build_max_docs`` (an NRT delta generation, a unit-test
     fixture). The point is latency: a refresh-interval delta is a few
@@ -718,7 +721,7 @@ def _build_index_inline(files: list[str], index_dir: str,
     the distributed phase 1 re-runs any part committed without run
     files before its phase 2 reads them."""
     man_dir = os.path.join(index_dir, "manifests")
-    bases = _ordinal_bases(files)
+    bases = _ordinal_bases(files, counts)
     parts = _plan_parts(files, None)       # per-file: the distributed default
     _check_resumable_parts(man_dir, parts)
 
@@ -799,11 +802,12 @@ def build_index(docs: str | list[str], index_dir: str,
                  and cfg.fail_after_parts is None
                  and not os.path.isdir(os.path.join(index_dir, "_faults")))
     phase_walls: dict[str, float] = {}
-    if inline_ok and _footer_rows(files) <= cfg.inline_build_max_docs:
-        _build_index_inline(files, index_dir, cfg)
+    counts = _footer_counts(files)
+    if inline_ok and sum(counts) <= cfg.inline_build_max_docs:
+        _build_index_inline(files, counts, index_dir, cfg)
     else:
         t1 = time.time()
-        build_runs(files, index_dir, cfg, num_parts)
+        build_runs(files, index_dir, cfg, num_parts, counts)
         phase_walls["phase1_runs_s"] = time.time() - t1
         t2 = time.time()
         build_segments(index_dir, cfg)

@@ -32,19 +32,21 @@ ES-side lifecycle:
   backward in event time).
 
 Scale notes (custom-op rule): a delta generation is sized by the
-refresh interval, not the corpus — its parse is one Ray task per
-stream part with a doc_id-keyed groupby for the in-refresh last-wins
-dedupe (the driver sees two counters, never rows), its build is the
-same shard-parallel plan as the main build, and merge is one task per
-term shard with no shuffle (``merge.py``). The searcher holds per-generation readers; at
-10^12 docs the base generation is served by the sharded/grid readers
-and deltas stay small, so the chain costs one extra scatter round, not
-a second corpus.
+refresh interval, not the corpus. Refresh and the stored-source half of
+compaction are one exchange on plain Ray tasks: one task per stream part
+or stored-source file parses its rows and splits them by
+``doc_shard(doc_id)``, and one task per doc-id partition keeps each id's
+winner (``last_wins``) and writes ``_delta_docs/part-<s>.parquet`` — the
+driver sees counters, never rows. A delta's build is the same
+shard-parallel plan as the main build, and merge is one task per term
+shard with no shuffle (``merge.py``). The searcher holds per-generation
+readers; at 10^12 docs the base generation is served by the sharded
+readers and deltas stay small, so the chain costs one extra scatter
+round, not a second corpus.
 """
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import shutil
@@ -52,158 +54,176 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
 from .. import bm25
 from ..config import IndexConfig, DEFAULT_CONFIG
 from ..state import manifest as mf
-from .build import build_index, index_stats
+from ..tokenizer import doc_shard
+from .build import _footer_counts, _input_files, build_index, index_stats
 from .merge import merge_indexes
 from .query import IndexReader, tokenize_query
+from .servecache import reader_cpus
 
 
-def _parse_stream_parts(batch: pa.Table) -> pa.Table:
-    """One task per batch of (pk, path) stream-part items → parsed doc
-    rows. Contract (the enriched-event analogue): a good record is a
-    JSON object with ``doc_id`` (int) and ``text`` (str), optionally
-    ``lang``; violations count as bad (the dead-letter split already
-    happened at ingest — this is the indexing-side schema check).
-    ``ordkey`` = (part index << 32) | row index is the stream-order
-    key the last-wins dedupe reduces on; one summary row per part
-    (ordkey = -1) carries the bad count so it rides the same dataset.
-    """
-    ids: list[int] = []
-    texts: list[str] = []
-    langs: list[str] = []
-    keys: list[int] = []
-    bads: list[int] = []
-    for pk, path in zip(batch["pk"].to_pylist(), batch["path"].to_pylist()):
-        t = pq.read_table(path, columns=["status", "record"])
-        n_bad = 0
-        for ri, (st, rec) in enumerate(zip(t["status"].to_pylist(),
-                                           t["record"].to_pylist())):
-            if st != "good":
-                continue
-            try:
-                obj = json.loads(rec)
-                doc_id, text = int(obj["doc_id"]), obj["text"]
-                if not isinstance(text, str):
-                    raise TypeError
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError):
-                n_bad += 1
-                continue
-            ids.append(doc_id)
-            texts.append(text)
-            langs.append(str(obj.get("lang", "und")))
-            keys.append((int(pk) << 32) | ri)
-            bads.append(0)
-        ids.append(0)                          # per-part summary row
-        texts.append("")
-        langs.append("")
-        keys.append(-1)
-        bads.append(n_bad)
-    return pa.table({
-        "doc_id": pa.array(ids, pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(langs, pa.string()),
-        "ordkey": pa.array(keys, pa.int64()),
-        "bad": pa.array(bads, pa.int64()),
-    })
-
-
-def _last_wins(g):
-    """Upsert-by-id inside one refresh: keep the stream-latest row."""
-    return g.loc[[g["ordkey"].idxmax()]]
-
+#: stored-source exchange size, in rows: refresh and compaction split
+#: their rows into ceil(rows / LIVE_PART_ROWS) doc-id partitions (parquet
+#: footer counts, an upper bound on docs), one reduce task and one
+#: ``_delta_docs`` file each. A partition of about 2^15 rows holds ~64 MiB
+#: of text at ~2 KB per doc, so a refresh-interval delta is one sorted
+#: file and only a long chain's compaction fans out. Like phase 2's
+#: ``PHASE2_GROUP_POSTINGS``, the layout depends only on the data, never
+#: on the cluster size.
+LIVE_PART_ROWS = 1 << 15
 
 _DOCS_SCHEMA = pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
                           ("lang", pa.string())])
 
 
-def _normalize_docs(b: pa.Table) -> pa.Table:
-    """Project a stored-source batch to (doc_id, text, lang), filling
-    ``lang`` when the source corpus lacks it (bootstrap accepts plain
+def last_wins(doc_ids: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """Row index of each doc_id's winner, in doc_id order: the row with
+    the largest ``prec`` (int64), and of rows with equal ``prec`` the
+    later one. The live chain's one upsert rule — each caller encodes
+    its order in ``prec``: a refresh ``(stream part << 32) | row``, a
+    compaction the generation's position in the chain, a fetch minus
+    the row's position in newest-first source order."""
+    order = np.lexsort((prec, doc_ids))         # stable: ties keep row order
+    ids = doc_ids[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = ids[1:] != ids[:-1]
+    return order[last]
+
+
+def _partition(doc_ids: np.ndarray, n_parts: int) -> list[np.ndarray]:
+    """Row indices of each ``doc_shard`` partition, in row order."""
+    part = doc_shard(doc_ids, n_parts)
+    order = np.argsort(part, kind="stable")
+    return np.split(order, np.searchsorted(part[order],
+                                           np.arange(1, n_parts)))
+
+
+def _to_ipc(t: pa.Table) -> bytes:
+    """Arrow table → IPC bytes. Tasks exchange tables as bytes: an Arrow
+    object passed through Ray makes its serializer import ``ray.data``
+    in the receiving process."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def _from_ipc(b: bytes) -> pa.Table:
+    return pa.ipc.open_stream(b).read_all()
+
+
+def _parse_stream_part(pk: int, path: str) -> tuple[pa.Table, int]:
+    """One stream part → (its good docs with their ``prec``, bad count).
+    Contract (the enriched-event analogue): a good record is a JSON
+    object with ``doc_id`` (int) and ``text`` (str), optionally
+    ``lang``; violations count as bad (the dead-letter split already
+    happened at ingest — this is the indexing-side schema check).
+    ``prec`` = (part index << 32) | row index: stream order."""
+    ids: list[int] = []
+    texts: list[str] = []
+    langs: list[str] = []
+    keys: list[int] = []
+    n_bad = 0
+    t = pq.read_table(path, columns=["status", "record"])
+    for ri, (st, rec) in enumerate(zip(t["status"].to_pylist(),
+                                       t["record"].to_pylist())):
+        if st != "good":
+            continue
+        try:
+            obj = json.loads(rec)
+            doc_id, text = int(obj["doc_id"]), obj["text"]
+            if not isinstance(text, str):
+                raise TypeError
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError):
+            n_bad += 1
+            continue
+        ids.append(doc_id)
+        texts.append(text)
+        langs.append(str(obj.get("lang", "und")))
+        keys.append((pk << 32) | ri)
+    return pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(langs, pa.string()),
+        "prec": pa.array(keys, pa.int64()),
+    }), n_bad
+
+
+def _read_docs(path: str) -> pa.Table:
+    """One stored-source file as (doc_id, text, lang), filling ``lang``
+    when the source corpus lacks it (bootstrap accepts plain
     (doc_id, text) parquet)."""
+    f = pq.ParquetFile(path)
+    b = f.read(columns=[c for c in _DOCS_SCHEMA.names
+                        if c in f.schema_arrow.names])
     lang = (b["lang"] if "lang" in b.column_names
             else pa.array(["und"] * b.num_rows, pa.string()))
     return pa.table({"doc_id": b["doc_id"], "text": b["text"],
                      "lang": lang}).cast(_DOCS_SCHEMA)
 
 
-@ray.remote
-def _parse_part_remote(pk: int, path: str) -> pa.Table:
-    return _parse_stream_parts(pa.table({"pk": [pk], "path": [path]}))
+def _read_stored(path: str, dead: np.ndarray, prec: int
+                 ) -> tuple[pa.Table, int]:
+    """One stored-source file of a retiring generation, minus the ids
+    its later tombstones delete, every row at the generation's ``prec``."""
+    t = _read_docs(path)
+    if len(dead):
+        t = t.filter(~np.isin(t["doc_id"].to_numpy(), dead))
+    return t.append_column("prec", pa.array(
+        np.full(t.num_rows, prec, dtype=np.int64))), 0
 
 
-def _extract_stream_docs_small(part_files: list[str], docs_dir: str
-                               ) -> tuple[int, int]:
-    """Fast path for a refresh-interval-sized delta: one plain Ray task
-    per stream part, then a vectorized driver-side last-wins dedupe
-    (lexsort by (doc_id, ordkey), keep each id's last) — semantically
-    identical to the Dataset groupby but without two materializations
-    and a shuffle of a few-thousand-row table, which otherwise dominate
-    the stream→searchable refresh latency. The concatenated delta is
-    bounded by ``inline_build_max_docs`` rows (the caller checked the
-    footers), so holding it in the refresh driver is the same memory
-    class as Lucene's in-memory segment buffer."""
-    tables = ray.get([_parse_part_remote.remote(i, f)
-                      for i, f in enumerate(part_files)])
-    t = pa.concat_tables(tables)
-    n_bad = int(pc.sum(t["bad"]).as_py() or 0)
-    t = t.filter(pc.greater_equal(t["ordkey"], 0))
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    keys = t["ordkey"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((keys, ids))
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = ids[order[1:]] != ids[order[:-1]]
-    docs = t.select(["doc_id", "text", "lang"]).take(pa.array(order[last]))
+@ray.remote(num_cpus=1)
+def _split_task(read, args: tuple, n_parts: int) -> list:
+    """Map side of the exchange: ``read(*args)`` → its rows cut into
+    ``n_parts`` doc-id partitions (IPC bytes each), then its bad count."""
+    t, n_bad = read(*args)
+    ids = t["doc_id"].to_numpy()
+    return [_to_ipc(t.take(ix)) for ix in _partition(ids, n_parts)] + [n_bad]
+
+
+@ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
+def _write_part_task(path: str, *pieces: bytes) -> int:
+    """Reduce side: one partition's rows from every map task → its
+    last-wins winners, sorted by doc_id, written to ``path`` (tmp file,
+    then rename; nothing for an empty partition) → the row count."""
+    t = pa.concat_tables([_from_ipc(p) for p in pieces])
+    win = last_wins(t["doc_id"].to_numpy(), t["prec"].to_numpy())
+    docs = t.take(win).select(_DOCS_SCHEMA.names)
     if docs.num_rows:
-        os.makedirs(docs_dir, exist_ok=True)
-        tmp = os.path.join(docs_dir, "delta-00000.parquet.tmp")
-        pq.write_table(docs, tmp)
-        os.replace(tmp, os.path.join(docs_dir, "delta-00000.parquet"))
-    return int(docs.num_rows), n_bad
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pq.write_table(docs, path + ".tmp")
+        os.replace(path + ".tmp", path)
+    return docs.num_rows
 
 
-def _extract_stream_docs(part_files: list[str], docs_dir: str,
-                         cfg: IndexConfig = DEFAULT_CONFIG
-                         ) -> tuple[int, int]:
-    """Distributed stream-parts → deduped documents parquet under
-    ``docs_dir``; returns (n_docs, n_bad). One parse task per part,
-    a doc_id-keyed groupby for the last-wins dedupe (delta-sized —
-    the refresh interval bounds it, never the corpus), partitioned
-    write. The driver sees only the two counters. Deltas under
-    ``cfg.inline_build_max_docs`` rows (parquet footer count — an
-    upper bound on docs) take the no-shuffle fast path above."""
-    import ray.data
+def _upsert_docs(read, items: list[tuple], n_rows: int, docs_dir: str
+                 ) -> tuple[int, int]:
+    """The write path of refresh and compaction: one ``_split_task`` per
+    item (a stream part or a stored-source file), one ``_write_part_task``
+    per doc-id partition writing ``docs_dir/part-<s>.parquet``, sized by
+    ``n_rows`` (footer counts) over ``LIVE_PART_ROWS``. The driver sees
+    only the counters → (docs written, bad records)."""
+    n_parts = max(1, -(-n_rows // LIVE_PART_ROWS))
+    maps = [_split_task.options(num_returns=n_parts + 1).remote(
+                read, args, n_parts) for args in items]
+    writes = [_write_part_task.remote(
+                  os.path.join(docs_dir, f"part-{s:05d}.parquet"),
+                  *[m[s] for m in maps])
+              for s in range(n_parts)]
+    return sum(ray.get(writes)), sum(ray.get([m[-1] for m in maps]))
 
-    from .. import _raydata  # noqa: F401 (thread-safe path probe)
 
-    if cfg.inline_build_max_docs:
-        total = sum(pq.ParquetFile(f).metadata.num_rows
-                    for f in part_files)
-        if total <= cfg.inline_build_max_docs:
-            return _extract_stream_docs_small(part_files, docs_dir)
-
-    items = [{"pk": i, "path": f} for i, f in enumerate(part_files)]
-    parsed = (ray.data.from_items(items)
-              .map_batches(_parse_stream_parts, batch_format="pyarrow")
-              .materialize())
-    n_bad = int(parsed.sum("bad") or 0)
-    docs = (parsed
-            .map_batches(lambda b: b.filter(
-                pc.greater_equal(b["ordkey"], 0)).drop_columns(["bad"]),
-                batch_format="pyarrow")
-            .groupby("doc_id").map_groups(_last_wins)
-            .map_batches(lambda b: b.drop_columns(["ordkey"]),
-                         batch_format="pyarrow")
-            .materialize())
-    n_docs = int(docs.count())
-    if n_docs:
-        docs.write_parquet(docs_dir)
-    return n_docs, n_bad
+@ray.remote(num_cpus=1)
+def _pick_task(path: str, want: np.ndarray) -> bytes:
+    """One stored-source file's rows whose doc_id is in ``want``."""
+    t = _read_docs(path)
+    return _to_ipc(t.filter(np.isin(t["doc_id"].to_numpy(), want)))
 
 
 class LiveIndex:
@@ -309,7 +329,9 @@ class LiveIndex:
         gen_dir = os.path.join(self.root, gen_name)
         shutil.rmtree(gen_dir, ignore_errors=True)   # uncommitted leftover
         docs_dir = os.path.join(gen_dir, "_delta_docs")
-        n_docs, n_bad = _extract_stream_docs(parts, docs_dir, self.cfg)
+        n_docs, n_bad = _upsert_docs(
+            _parse_stream_part, list(enumerate(parts)),
+            sum(_footer_counts(parts)), docs_dir)
         if n_docs == 0:
             # consume the batches but create no generation
             shutil.rmtree(gen_dir, ignore_errors=True)
@@ -376,56 +398,32 @@ class LiveIndex:
     def _fetch_docs(self, doc_ids: np.ndarray) -> pa.Table:
         """(doc_id, text, lang) for the given LIVE external ids, read
         from the chain's stored sources newest generation first (the
-        first source that holds an id owns its current text). Reads are
-        the ``doc_fetch`` pattern — broadcast id set, vectorized
-        semi-join filter inside ``map_batches`` — so the immutable base
-        corpus is scanned once, column-pruned, never shuffled."""
-        import ray.data    # siblings import locally; don't rely on
-                           # build.py's module-level import side effect
-
-        from .. import _raydata  # noqa: F401 (thread-safe path probe)
-
+        first source that holds an id owns its current text): one
+        ``_pick_task`` per source file with the broadcast id set, so the
+        immutable base corpus is scanned once, column-pruned, never
+        shuffled. A source may itself hold several versions (a
+        user-supplied bulk corpus is not guaranteed deduped): the first
+        row per id wins, so the chain's one-live-version invariant
+        holds. Rows come back in source order."""
         want = np.unique(np.asarray(doc_ids, dtype=np.int64))
-        pieces: list[pa.Table] = []
+        hits: list[pa.Table] = []
         events = self._events()                # one scan for the loop
         for gen in reversed(self.generations()):          # newest first
-            if not len(want):
-                break
             for src in self._gen_doc_sources(os.path.basename(gen),
                                              events=events):
                 if not len(want):
                     break
-                want_arr = want                            # bind for task
-
-                def pick(b: pa.Table) -> pa.Table:
-                    t = _normalize_docs(b)
-                    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-                    return t.filter(pa.array(np.isin(ids, want_arr)))
-
-                blocks = [b for b in ray.get(
-                              ray.data.read_parquet(src)
-                              .map_batches(pick, batch_format="pyarrow")
-                              .to_arrow_refs())
-                          if b.num_rows]
-                hit = (pa.concat_tables(blocks) if blocks
-                       else _DOCS_SCHEMA.empty_table())
-                if hit.num_rows:
-                    # a source may itself hold several versions (a
-                    # user-supplied bulk corpus is not guaranteed
-                    # deduped) — keep the first row per id so the
-                    # chain's one-live-version invariant holds
-                    found = hit["doc_id"].to_numpy(zero_copy_only=False)
-                    uniq, first_idx = np.unique(found, return_index=True)
-                    if len(uniq) != len(found):
-                        hit = hit.take(pa.array(np.sort(first_idx)))
-                        found = uniq
-                    pieces.append(hit)
-                    want = want[~np.isin(want, found)]
-        if not pieces:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "text": pa.array([], pa.string()),
-                             "lang": pa.array([], pa.string())})
-        return pa.concat_tables(pieces)
+                ref = ray.put(want)
+                got = [_from_ipc(b) for b in ray.get(
+                    [_pick_task.remote(f, ref) for f in _input_files(src)])]
+                hits += got
+                for t in got:
+                    want = want[~np.isin(want, t["doc_id"].to_numpy())]
+        if not hits:
+            return _DOCS_SCHEMA.empty_table()
+        t = pa.concat_tables(hits)
+        return t.take(np.sort(last_wins(t["doc_id"].to_numpy(),
+                                        -np.arange(t.num_rows))))
 
     def update_by_query(self, query: str, transform) -> dict:
         """ES ``_update_by_query``: resolve the conjunctive match set
@@ -534,12 +532,11 @@ class LiveIndex:
         # tombstones) into the new generation's _delta_docs — they are
         # about to be rmtree'd with their gen dirs — while immutable
         # external pointers (the bootstrap corpus) are carried forward
-        # as pointers. The merge is the same distributed last-wins
-        # groupby the refresh dedupe uses (precedence = generation
-        # order): text rides the shuffle because stored-fields merge IS
-        # corpus IO, and the driver sees only a row count — the
-        # accumulated stored source grows with the stream, never the
-        # driver's memory.
+        # as pointers. It is the refresh's exchange with prec =
+        # generation order: text moves between tasks because
+        # stored-fields merge IS corpus IO, and the driver sees only a
+        # row count — the accumulated stored source grows with the
+        # stream, never the driver's memory.
         root_abs = os.path.abspath(self.root) + os.sep
         ptrs: list[str] = []
         internal: list[tuple[str, np.ndarray, int]] = []
@@ -551,33 +548,11 @@ class LiveIndex:
                     if src not in ptrs:
                         ptrs.append(src)
                 elif os.path.isdir(src):
-                    internal.append((src, dead, prec))
+                    internal += [(f, dead, prec) for f in _input_files(src)]
         if internal:
-            import ray.data
-
-            from .. import _raydata  # noqa: F401 (thread-safe path probe)
-
-            parts = []
-            for src, dead, prec in internal:
-                def norm(b: pa.Table, dead=dead, prec=prec) -> pa.Table:
-                    t = _normalize_docs(b)
-                    if len(dead):
-                        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-                        t = t.filter(pa.array(~np.isin(ids, dead)))
-                    return t.append_column("ordkey", pa.array(
-                        np.full(t.num_rows, prec, dtype=np.int64)))
-
-                parts.append(ray.data.read_parquet(src)
-                             .map_batches(norm, batch_format="pyarrow"))
-            ds = parts[0]
-            for p in parts[1:]:
-                ds = ds.union(p)
-            merged = (ds.groupby("doc_id").map_groups(_last_wins)
-                      .map_batches(lambda b: b.drop_columns(["ordkey"]),
-                                   batch_format="pyarrow")
-                      .materialize())
-            if merged.count():
-                merged.write_parquet(os.path.join(out_dir, "_delta_docs"))
+            _upsert_docs(_read_stored, internal,
+                         sum(_footer_counts([f for f, _, _ in internal])),
+                         os.path.join(out_dir, "_delta_docs"))
         mf.commit(self.man_dir, f"compact-{ev:05d}", {
             "event": ev, "stage": "compact", "gen": gen_name,
             "retired": [os.path.basename(g) for g in gens],
@@ -735,7 +710,7 @@ def _score_generation(r: IndexReader, live: list[str], dfs: dict[str, int],
     return ext, sums
 
 
-@ray.remote(num_cpus=1, max_restarts=2, max_task_retries=2)
+@ray.remote(max_restarts=2, max_task_retries=2)
 class _GenReaderActor:
     """One generation of the live chain, loaded once and served remote —
     the distributed-NRT grain: generations (and their memory) spread
@@ -779,11 +754,16 @@ class ShardedLiveSearcher:
     NEWER-generation ids (delta-sized by the refresh interval) plus
     delete tombstones, so the coordinator pulls O(delta) ids, never
     O(corpus). Stats (n_docs, total tokens) come from the committed
-    manifests, not the actors. Call ``shutdown()`` when done."""
+    manifests, not the actors. Each actor reserves
+    ``reader_cpus(generations, cluster CPUs)``, so a chain longer than
+    the cluster has CPUs still schedules. Call ``shutdown()`` when done."""
 
     def __init__(self, gen_dirs: list[str],
                  deleted: list[np.ndarray] | None = None):
-        self.actors = [_GenReaderActor.remote(d) for d in gen_dirs]
+        cpus = reader_cpus(len(gen_dirs),
+                           ray.cluster_resources().get("CPU", 1.0))
+        self.actors = [_GenReaderActor.options(num_cpus=cpus).remote(d)
+                       for d in gen_dirs]
         stats = [index_stats(d) for d in gen_dirs]
         self.n_docs = int(sum(s["n_docs"] for s in stats))
         tokens = float(sum(s["total_tokens"] for s in stats))

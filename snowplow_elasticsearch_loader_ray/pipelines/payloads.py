@@ -25,7 +25,7 @@ from .. import _raydata  # noqa: F401 (thread-safe path probe)
 from ..config import IndexConfig, DEFAULT_CONFIG
 from ..stages.transforms import DecompressPayloads, PurposeTransform
 from ..state import manifest as mf
-from .build import _footer_rows
+from .build import _footer_counts
 
 
 def read_jsonl_payloads(paths: str | list[str]) -> ray.data.Dataset:
@@ -102,7 +102,8 @@ def ingest_payloads(paths: str | list[str], out_dir: str, purpose: str = "json",
     counters: dict[str, int] = {}
     for d in sorted(glob.glob(os.path.join(rec_dir, "status=*"))):
         status = os.path.basename(d).split("=", 1)[1]
-        counters[status] = _footer_rows(glob.glob(os.path.join(d, "*.parquet")))
+        counters[status] = sum(_footer_counts(
+            glob.glob(os.path.join(d, "*.parquet"))))
     counters.setdefault("good", 0)
     mf.commit(man_dir, "ingest", {
         "stage": "ingest",

@@ -118,3 +118,63 @@ def test_build_workers_leave_ray_data_unimported(tmp_path):
     driver = out.stdout.strip().splitlines()[-1]
     assert sorted(os.listdir(marks)) in ([], [driver]), \
         "a build worker imported ray.data"
+
+
+LIVE_CHILD = r"""
+import json
+import os
+import sys
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=80 << 20)
+from snowplow_elasticsearch_loader_ray.config import IndexConfig
+from snowplow_elasticsearch_loader_ray.pipelines.live import LiveIndex
+from snowplow_elasticsearch_loader_ray.sources.stream import stream_ingest
+
+work = sys.argv[1]
+words = "the quick brown fox data table scan merge sort stream".split()
+text = lambda i: " ".join(words[(i + j) % 10] for j in range(6))
+os.makedirs(f"{work}/docs")
+pq.write_table(pa.table({"doc_id": pa.array(range(100), pa.int64()),
+                         "text": [text(i) for i in range(100)]}),
+               f"{work}/docs/part-0.parquet")
+cfg = IndexConfig(num_term_shards=4, flush_max_bytes=2000,
+                  flush_max_delay_s=1e9)
+live = LiveIndex(f"{work}/live", cfg)
+live.bootstrap(f"{work}/docs")
+stream_ingest(iter(json.dumps({"doc_id": i, "text": text(i + 3)}).encode()
+                   for i in range(50, 150)), f"{work}/stream",
+              purpose="json", cfg=cfg)
+assert live.refresh(f"{work}/stream")["n_docs"] == 100
+assert live.delete_by_query("quick brown")["n_ids"] > 0
+assert live.compact(force=True)["n_docs"] > 0
+assert live.update_by_query("data table", lambda t: t + " zz")["n_docs"] > 0
+assert len(live.searcher().topk("zz", 5)[0]) == 5
+ray.shutdown()
+print(sorted(m for m in ("ray.data",) if m in sys.modules))
+print(os.getpid())
+"""
+
+
+def test_live_chain_leaves_ray_data_unimported(tmp_path):
+    """Refresh, delete, compaction and update_by_query run on plain
+    tasks that exchange Arrow tables as IPC bytes, so neither the driver
+    nor any worker of a fresh session imports ``ray.data``."""
+    hook, marks = tmp_path / "hook", tmp_path / "marks"
+    hook.mkdir()
+    marks.mkdir()
+    (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook), ROOT]),
+               IMPORT_MARKS_DIR=str(marks))
+    out = subprocess.run([sys.executable, "-c", LIVE_CHILD, str(tmp_path)],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    imported, driver = out.stdout.strip().splitlines()[-2:]
+    assert imported == "[]", "the live chain's driver imported ray.data"
+    assert sorted(os.listdir(marks)) in ([], [driver]), \
+        "a live-chain worker imported ray.data"

@@ -436,3 +436,142 @@ def test_bootstrap_without_lang_column_update_ok(ray_session, tmp_path):
     r = live.update_by_query("green", lambda t: t + " teal")
     assert r["n_docs"] == 2
     assert sorted(live.searcher().topk("teal", 10)[0].tolist()) == [21, 22]
+
+
+def _delta_rows(gen_dir):
+    """A generation's stored-source rows sorted by doc_id, and its file
+    count."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    d = os.path.join(gen_dir, "_delta_docs")
+    files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+    t = pa.concat_tables(pq.read_table(os.path.join(d, f)) for f in files)
+    return t.sort_by("doc_id").to_pylist(), len(files)
+
+
+def test_multi_partition_exchange_matches_one_partition(tmp_path,
+                                                        monkeypatch):
+    """With ``LIVE_PART_ROWS`` forced small, a refresh and a compaction
+    split their rows over several doc-id partitions (one reduce task and
+    ``_delta_docs`` file each); the stored rows, compared sorted by
+    doc_id, and every top-k equal the one-partition chain's."""
+    from snowplow_elasticsearch_loader_ray.pipelines import live as L
+
+    s1 = _stream(tmp_path, "s1", [(3, "an older fox version")] + DOCS_A
+                 + DOCS_B + [(1, "ray data streams blocks resent")])
+    s2 = _stream(tmp_path, "s2", [(3, "the slow green turtle"),
+                                  (8, "fox dens and foxes"), (5, "bears")])
+    queries = ["fox", "data blocks", "quick brown turtle", "shuffle",
+               "arrow streams fast", "bears"]
+
+    def chain(name):
+        live = LiveIndex(str(tmp_path / name), CFG)
+        live.refresh(s1)
+        refreshed = _delta_rows(live.generations()[0])
+        live.refresh(s2)
+        live.delete_by_query("shuffle")
+        live.compact(force=True)
+        [gen] = live.generations()
+        s = live.searcher()
+        return (refreshed, _delta_rows(gen),
+                [tuple(a.tolist() for a in s.topk(q, 5)) for q in queries])
+
+    one = chain("one")
+    monkeypatch.setattr(L, "LIVE_PART_ROWS", 2)
+    many = chain("many")
+    assert one[0][1] == one[1][1] == 1
+    assert many[0][1] > 1 and many[1][1] > 1
+    assert many[0][0] == one[0][0] and many[1][0] == one[1][0]
+    assert [r["text"] for r in one[0][0] if r["doc_id"] in (1, 3)] == [
+        "ray data streams blocks resent", "the quick brown fox"]
+    assert many[2] == one[2]
+
+
+#: a chain of four generations in a 2-CPU session, then the sharded
+#: searcher (one reader actor per generation) against the local one
+MANY_GENERATIONS_CHILD = r"""
+import json
+import sys
+
+import numpy as np
+import ray
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=80 << 20)
+from snowplow_elasticsearch_loader_ray.config import IndexConfig
+from snowplow_elasticsearch_loader_ray.pipelines.live import LiveIndex
+from snowplow_elasticsearch_loader_ray.sources.stream import stream_ingest
+
+work = sys.argv[1]
+cfg = IndexConfig(num_term_shards=4)
+words = "the quick brown fox data table scan merge sort stream".split()
+live = LiveIndex(f"{work}/live", cfg)
+for g in range(4):
+    stream_ingest(iter(json.dumps({"doc_id": (g * 7 + i) % 30, "text": " ".join(
+        words[(g + i * j) % 10] for j in range(5))}).encode() for i in range(12)),
+        f"{work}/s{g}", purpose="json", cfg=cfg)
+    live.refresh(f"{work}/s{g}")
+live.delete_by_query("quick fox")
+assert len(live.generations()) == 4
+s, sh = live.searcher(), live.sharded_searcher()
+assert sh.live_doc_count() == s.live_doc_count()
+for q in ["fox", "data table", "quick brown", "merge sort stream", "absent"]:
+    assert sh.df(q.split()[0]) == s.df(q.split()[0])
+    for a, b in zip(s.topk(q, 5), sh.topk(q, 5)):
+        np.testing.assert_array_equal(a, b)
+sh.shutdown()
+ray.shutdown()
+print("child done")
+"""
+
+
+def _session_pids(sid):
+    """Live processes whose session id is ``sid`` (from /proc)."""
+    out = []
+    for p in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{p}/stat") as f:
+                rest = f.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(rest[3]) == sid and rest[0] != "Z":
+            out.append(int(p))
+    return out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sharded_searcher_over_more_generations_than_cpus(tmp_path):
+    """A chain with more generations than its Ray session has CPUs still
+    schedules every reader actor and answers bit-identically to
+    ``LiveSearcher``. The chain runs in a child with its own 2-CPU
+    session and a deadline, so an unschedulable actor fails this test
+    instead of hanging the suite."""
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env.pop("RAY_ADDRESS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    log = tmp_path / "child.log"
+    with open(log, "w") as f:
+        child = subprocess.Popen(
+            [sys.executable, "-c", MANY_GENERATIONS_CHILD, str(tmp_path)],
+            env=env, cwd=str(tmp_path), start_new_session=True,
+            stdout=f, stderr=subprocess.STDOUT)
+    try:
+        child.wait(timeout=240)
+    except subprocess.TimeoutExpired:
+        pass
+    finally:
+        for pid in _session_pids(child.pid):  # the child's whole session
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+        child.wait()
+    out = log.read_text()
+    assert child.returncode == 0 and "child done" in out, out[-3000:]

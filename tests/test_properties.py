@@ -292,3 +292,67 @@ def test_maxscore_rescore_reads_scored_lists(tmp_path, monkeypatch):
     for got in (cold, warm):
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tolist() == want[1].tolist()
+
+
+def _winners_by_dict(ids, prec):
+    """Reference last-wins: per id, the row with the largest precedence,
+    the later row on a tie."""
+    best: dict[int, tuple[int, int]] = {}
+    for row, (d, p) in enumerate(zip(ids, prec)):
+        if d not in best or p >= best[d][0]:
+            best[d] = (p, row)
+    return [best[d][1] for d in sorted(best)]
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(-3, 3)),
+                max_size=60),
+       st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_last_wins_matches_dict_reference(rows, n_parts):
+    """The live chain's kernel keeps, per doc_id, the largest precedence
+    and the later row on a tie (duplicate ids and equal precedence are
+    drawn on purpose), in doc_id order; run per ``doc_shard`` partition
+    and concatenated, it keeps the same rows."""
+    from snowplow_elasticsearch_loader_ray.pipelines.live import (
+        _partition, last_wins)
+
+    ids = np.array([d for d, _ in rows], dtype=np.int64)
+    prec = np.array([p for _, p in rows], dtype=np.int64)
+    win = last_wins(ids, prec)
+    assert win.tolist() == _winners_by_dict(ids.tolist(), prec.tolist())
+    parts = _partition(ids, n_parts)
+    assert sorted(np.concatenate(parts).tolist()) == list(range(len(ids)))
+    split = np.concatenate([ix[last_wins(ids[ix], prec[ix])] for ix in parts])
+    assert split[np.argsort(ids[split])].tolist() == win.tolist()
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("write"),
+              st.lists(st.integers(0, 9), max_size=8)),
+    st.tuples(st.just("delete"),
+              st.lists(st.integers(0, 9), max_size=4))), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_compaction_rule_matches_event_replay(events):
+    """Compaction's encoding — drop each generation's rows that a later
+    tombstone deletes, precedence = generation order — keeps exactly the
+    docs (and versions) a replay of the writes and deletes in event
+    order leaves live."""
+    from snowplow_elasticsearch_loader_ray.pipelines.live import last_wins
+
+    live: dict[int, tuple[int, int]] = {}
+    for ev, (kind, ids) in enumerate(events):
+        for row, d in enumerate(ids):
+            if kind == "write":
+                live[d] = (ev, row)
+            else:
+                live.pop(d, None)
+    rows = []                                  # (doc_id, prec, version)
+    gens = [ev for ev, (kind, _) in enumerate(events) if kind == "write"]
+    for prec, ev in enumerate(gens):
+        dead = {d for later, (kind, ids) in enumerate(events)
+                if kind == "delete" and later > ev for d in ids}
+        rows += [(d, prec, (ev, row))
+                 for row, d in enumerate(events[ev][1]) if d not in dead]
+    ids = np.array([r[0] for r in rows], dtype=np.int64)
+    win = last_wins(ids, np.array([r[1] for r in rows], dtype=np.int64))
+    assert [(rows[i][0], rows[i][2]) for i in win] == sorted(live.items())
