@@ -21,7 +21,7 @@ counters. No stage starts a Ray Data execution.
 
 2. **phase 1 — runs**: one task per input file tokenizes it
    (``TokenizeFilePostings`` — each doc gets its dense corpus ORDINAL,
-   see stages/postings.py), streams the shard-sorted chunks into one
+   see stages/postings.py), streams the (shard, term)-sorted chunks into one
    run file with small row groups under its resume part's tmp dir, and
    returns the chunks' docmap rows held in memory. Parts (contiguous
    slices of the sorted doc files) are the resume unit, files the
@@ -41,9 +41,12 @@ counters. No stage starts a Ray Data execution.
    reads the run files, in ordinal order, with a shard-range filter (row-group
    statistics prune to the group's share of each file), orders all the
    group's rows by (shard, term) with ONE stable sort (ords already
-   arrive ascending within a term), cuts each shard's lists out of that
-   order, delta/FOR-encodes posting blocks with block-max metadata and
-   commits ``segments/shard-j.parquet`` + manifest. Ordinal keys make
+   arrive ascending within a term, and each chunk already in (shard,
+   term) order, so the sort merges presorted runs), cuts each shard's
+   lists out of that order, delta/FOR-encodes posting blocks with
+   block-max metadata and writes ``segments/shard-j.parquet``; the
+   driver commits each task's segment manifests as one batch
+   (``manifest.commit_many``, one fsync round). Ordinal keys make
    the average delta gap n_docs/df (vs 2^63/n for raw 64-bit id
    hashes), so postings land at ~1-2 B each instead of ~9.
    Embarrassingly parallel — the all-to-all already happened in
@@ -53,13 +56,15 @@ counters. No stage starts a Ray Data execution.
 
 4. **finalize**: N / avgdl / counters roll up from manifests (the
    running-counter analogue of ``Processing.scala:237-249``) into
-   ``stats.json`` + ``metrics.json`` + an ``index`` manifest.
+   ``stats.json`` + ``metrics.json`` (one commit batch), then the
+   ``index`` manifest on its own, last.
 
 **Inline fast path** (``_build_index_inline``, corpora at or below
 ``cfg.inline_build_max_docs``): phases 1 and 2 run in the calling
 process over the same kernels, and the exchange never leaves memory —
 the phase-1 chunks, term column still dictionary-typed, go straight to
-the phase-2 encode. Its docmap parts and segments match the distributed
+the phase-2 encode, and each phase's manifests commit as one batch.
+Its docmap parts and segments match the distributed
 path's byte for byte, and so do its manifests, except that they name no
 run files: nothing is written under ``runs/``, a ``runs-part`` manifest
 declares only its docmap file, and a segment manifest lists the input
@@ -689,8 +694,8 @@ def build_segments(index_dir: str, cfg: IndexConfig) -> None:
     refs = [_encode_shard_group.remote(index_dir, g, cfg.block_size)
             for g in groups]
     for g, payloads in zip(groups, ray.get(refs)):
-        for s, payload in zip(g, payloads):
-            mf.commit(man_dir, f"segment-shard-{s:04d}", payload)
+        mf.commit_many(man_dir, [(f"segment-shard-{s:04d}", payload)
+                                 for s, payload in zip(g, payloads)])
 
 
 # --------------------------------------------------------------------------
@@ -726,21 +731,23 @@ def _build_index_inline(files: list[str], counts: list[int],
     _check_resumable_parts(man_dir, parts)
 
     chunks: list[pa.Table] = [CHUNK_SCHEMA.empty_table().select(PHASE2_COLUMNS)]
+    part_manifests = []
     for k, files_k in enumerate(parts):
         t0 = time.time()
         outs = [_tokenize_file(f, bases[f], cfg, keep=chunks) for f in files_k]
         if not mf.is_committed(man_dir, f"runs-part-{k:04d}"):
-            mf.commit(man_dir, f"runs-part-{k:04d}", _close_part(
-                index_dir, k, files_k, outs, t0, with_runs=False))
+            part_manifests.append((f"runs-part-{k:04d}", _close_part(
+                index_dir, k, files_k, outs, t0, with_runs=False)))
+    mf.commit_many(man_dir, part_manifests)
 
     missing = [s for s in range(cfg.num_term_shards)
                if not mf.is_committed(man_dir, f"segment-shard-{s:04d}")]
     segs = encode_shard_tables(pa.concat_tables(chunks), missing,
                                cfg.block_size)
     inputs = [os.path.basename(f) for f in files]
-    for shard, seg in zip(missing, segs):
-        mf.commit(man_dir, f"segment-shard-{shard:04d}",
-                  _write_segment(seg, index_dir, shard, inputs))
+    mf.commit_many(man_dir, [
+        (f"segment-shard-{shard:04d}", _write_segment(seg, index_dir, shard, inputs))
+        for shard, seg in zip(missing, segs)])
 
 
 # --------------------------------------------------------------------------
@@ -775,8 +782,8 @@ def finalize(index_dir: str, cfg: IndexConfig, wall_s: float,
     }
     for k, v in (phase_walls or {}).items():
         metrics[k] = round(v, 3)
-    mf.commit(man_dir, "stats", {"stage": "stats", "stats": stats})
-    mf.commit(man_dir, "metrics", {"stage": "metrics", "metrics": metrics})
+    mf.commit_many(man_dir, [("stats", {"stage": "stats", "stats": stats}),
+                             ("metrics", {"stage": "metrics", "metrics": metrics})])
     mf.commit(man_dir, "index", {"stage": "index", "complete": True})
     return stats
 

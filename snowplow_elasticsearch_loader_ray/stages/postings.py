@@ -25,32 +25,40 @@ after tokenization the chunk works entirely on integers — terms are
 dictionary-encoded once, each vocabulary entry is hashed to its shard
 straight from the dictionary's Arrow offsets and data buffers
 (``tokenizer.term_shards``: blake2b over ``bytes`` slices), the
-vocabulary is ranked by (shard, first occurrence), and one
-``np.unique`` over ``rank*n_docs + row`` composite keys both counts tf
-and emits the postings in output order (ordinals increase with the
-row, so row order is ord order). No Python string is made per
-vocabulary term, and no per-posting string is hashed or sorted: the
-term column is a ``DictionaryArray`` over that same Arrow dictionary
-(plus the docmap rows' empty placeholder), and the chunk leaves the
-kernel with it (``CHUNK_SCHEMA``). The in-process build keeps those
-chunks for its phase 2, which only unifies their dictionaries. The
-distributed build casts each chunk to ``RUN_SCHEMA`` (plain strings,
-one per posting) as it writes the run file: writing the
-dictionary-typed column there was measured slower (50 → 75 ms per
+vocabulary is ranked by (shard, term bytes) with one
+``pc.sort_indices`` and one stable argsort over vocabulary-sized keys,
+and one ``np.unique`` over ``rank*n_docs + row`` composite keys (32-bit
+whenever ``vocab * n_docs < 2**32``, which halves the sort's traffic)
+both counts tf and emits the postings in output order (ordinals
+increase with the row, so row order is ord order). No Python string is
+made per vocabulary term, and no per-posting string is hashed or
+sorted: the term column is a ``DictionaryArray`` over that same Arrow
+dictionary (plus the docmap rows' empty placeholder), and the chunk
+leaves the kernel with it (``CHUNK_SCHEMA``). The in-process build
+keeps those chunks for its phase 2, which only unifies their
+dictionaries. The distributed build casts each chunk to ``RUN_SCHEMA``
+(plain strings, one per posting) as it writes the run file: writing
+the dictionary-typed column there was measured slower (50 → 75 ms per
 build round).
 
-The chunk output is ordered by (shard, first-occurrence rank of the
-term in the chunk, ord) — docmap rows (shard = -1) lead. Terms are
-therefore grouped, but not in term order: phase 2 ranks the vocabulary
-itself (``segment.encode_shard_tables``). The shard order keeps the run
-files shard-clustered per row group for the phase-2 pruned read and the
-parquet encodings tight.
+The chunk output is ordered by (shard, term bytes, ord) — docmap rows
+(shard = -1) lead — which is the order a segment is cut in: every chunk,
+and so every run-file row group, reaches phase 2 as one presorted run,
+and ``segment.encode_shard_tables``' stable sort only merges the runs
+(operators hand over their output in the order the next one consumes
+it — the Velox pipeline design, PAPERS.md). Phase 2 does not depend on
+it: rows in any order within a (shard, term), ords ascending, encode to
+the same bytes, so run files written before this order (first
+occurrence of the term in the chunk) resume under the same
+``RUN_FORMAT``. The shard order keeps the run files shard-clustered per
+row group for the phase-2 pruned read and the parquet encodings tight.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
@@ -99,21 +107,24 @@ def postings_chunk(doc_ids: np.ndarray, ords: np.ndarray,
         flat = flat.combine_chunks()
     enc = flat.dictionary_encode()
     vocab = enc.dictionary
-    didx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    didx = enc.indices.to_numpy(zero_copy_only=False)
 
     # shard per unique term, once (vocab is tiny vs postings); rank the
-    # vocabulary by (shard, first occurrence) — the dictionary order is
-    # first occurrence, so one stable argsort of the shard table does it
-    shard_lut = term_shards(vocab, cfg.num_term_shards)
-    by_rank = np.argsort(shard_lut, kind="stable")
-    rank = np.empty(len(vocab), dtype=np.int64)
-    rank[by_rank] = np.arange(len(vocab), dtype=np.int64)
-
-    # tf per (doc, term), sorted by (rank, row) = (shard, first
-    # occurrence, ord): one sort of composite integer keys
+    # vocabulary by (shard, term bytes), the order segments are cut in
+    # (composite keys below are 32-bit when they fit)
     n_rows = max(n_docs, 1)
-    uniq, counts = np.unique(rank[didx] * n_rows + idx_np,
-                             return_counts=True)
+    key_type = np.uint32 if len(vocab) * n_rows < 1 << 32 else np.int64
+    shard_lut = term_shards(vocab, cfg.num_term_shards)
+    by_term = pc.sort_indices(vocab).to_numpy()
+    by_rank = by_term[np.argsort(shard_lut[by_term], kind="stable")]
+    rank = np.empty(len(vocab), dtype=key_type)
+    rank[by_rank] = np.arange(len(vocab), dtype=key_type)
+
+    # tf per (doc, term), sorted by (rank, row) = (shard, term, ord):
+    # one sort of composite integer keys
+    uniq, counts = np.unique(
+        rank[didx] * key_type(n_rows) + idx_np.astype(key_type),
+        return_counts=True)
     row_doc = uniq % n_rows                   # chunk row index
     row_tidx = by_rank[uniq // n_rows]        # vocab index
     n_post = len(uniq)

@@ -63,6 +63,13 @@ def encode_shard_tables(runs: pa.Table, shards: list[int],
     slice between its two ``searchsorted`` bounds. A broken arrival
     order is not silently re-sorted: the codec's strictly-increasing
     check raises ``ValueError``.
+
+    Each ``postings_chunk`` output already arrives in that key order
+    (shard, then term bytes), so the argsort only merges presorted
+    runs, one per chunk: numpy's stable sort of int64 keys is timsort,
+    which finds the runs and merges them. Rows in any other order (a
+    run file written before chunks were term-ordered) still sort
+    correctly, only slower.
     """
     has_shard = "shard" in runs.column_names
     if not has_shard and len(shards) != 1:

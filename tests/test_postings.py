@@ -10,45 +10,39 @@ from snowplow_elasticsearch_loader_ray.sources import synth
 from snowplow_elasticsearch_loader_ray.stages.extract import ExtractTransform
 from snowplow_elasticsearch_loader_ray.stages.postings import (
     CHUNK_SCHEMA, RUN_SCHEMA, postings_chunk)
-from snowplow_elasticsearch_loader_ray.tokenizer import (
-    term_shard_one, tokenize_to_terms)
+from snowplow_elasticsearch_loader_ray.tokenizer import term_shard_one
+
+
+def _reference_tokens(texts) -> list[list[str]]:
+    """The tokenization rule spelled as an RE2 split, per row:
+    lowercase, split on ``[^a-z0-9]+``, drop empties."""
+    rows = pc.split_pattern_regex(pc.utf8_lower(texts),
+                                  pattern="[^a-z0-9]+").to_pylist()
+    return [[t for t in row if t] if row else [] for row in rows]
 
 
 def _lexsort_reference(doc_ids, ords, texts, cfg, langs=None):
-    """Run rows ordered by one ``np.lexsort`` over (shard, vocab index,
-    ord) — the layout the phase-2 reader relies on, spelled out."""
-    n_docs = len(doc_ids)
-    flat, idx = tokenize_to_terms(texts)
-    idx_np = idx.to_numpy(zero_copy_only=False)
-    doclen = np.bincount(idx_np, minlength=n_docs).astype(np.int32)
-    enc = flat.dictionary_encode()
-    vocab = enc.dictionary.to_pylist()
-    didx = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    V = max(len(vocab), 1)
-    uniq, counts = np.unique(idx_np.astype(np.int64) * V + didx,
-                             return_counts=True)
-    row_doc, row_tidx = uniq // V, uniq % V
-    shard_lut = np.array([term_shard_one(t, cfg.num_term_shards)
-                          for t in vocab], dtype=np.int32)
-    all_shard = np.concatenate([shard_lut[row_tidx],
-                                np.full(n_docs, DOCMAP_SHARD, np.int32)])
-    all_tidx = np.concatenate([row_tidx, np.full(n_docs, len(vocab))])
-    all_ord = np.concatenate([ords[row_doc], ords])
-    all_tf = np.concatenate([counts.astype(np.int32), doclen])
-    all_doc = np.concatenate([np.zeros(len(row_doc), np.int64), doc_ids])
-    is_post = np.concatenate([np.ones(len(row_doc), bool),
-                              np.zeros(n_docs, bool)])
-    order = np.lexsort((all_ord, all_tidx, all_shard))
-    lang = ([None] * len(row_doc) + (langs.to_pylist() if langs is not None
-                                     else [None] * n_docs))
-    terms = vocab + [""]
+    """Run rows sorted by (shard, term bytes, ord) — the layout phase 2
+    cuts segments in, spelled out: docmap rows (shard -1, term ``""``)
+    lead, then every (doc, term) posting with its tf."""
+    lang = langs.to_pylist() if langs is not None else [None] * len(doc_ids)
+    rows = []
+    for r, toks in enumerate(_reference_tokens(texts)):
+        rows.append((DOCMAP_SHARD, b"", int(ords[r]), len(toks),
+                     int(doc_ids[r]), lang[r]))
+        for term in set(toks):
+            rows.append((term_shard_one(term, cfg.num_term_shards),
+                         term.encode(), int(ords[r]), toks.count(term),
+                         None, None))
+    rows.sort(key=lambda row: row[:3])
+    cols = list(zip(*rows)) or [()] * 6
     return pa.table({
-        "shard": pa.array(all_shard[order]),
-        "term": pa.array([terms[t] for t in all_tidx[order]], pa.string()),
-        "ord": pa.array(all_ord[order]),
-        "tf": pa.array(all_tf[order]),
-        "doc_id": pa.array(all_doc[order], pa.int64(), mask=is_post[order]),
-        "lang": pa.array([lang[j] for j in order], pa.string()),
+        "shard": pa.array(cols[0], pa.int32()),
+        "term": pa.array([t.decode() for t in cols[1]], pa.string()),
+        "ord": pa.array(cols[2], pa.int64()),
+        "tf": pa.array(cols[3], pa.int32()),
+        "doc_id": pa.array(cols[4], pa.int64()),
+        "lang": pa.array(cols[5], pa.string()),
     }, schema=RUN_SCHEMA)
 
 

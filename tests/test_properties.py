@@ -356,3 +356,73 @@ def test_compaction_rule_matches_event_replay(events):
     ids = np.array([r[0] for r in rows], dtype=np.int64)
     win = last_wins(ids, np.array([r[1] for r in rows], dtype=np.int64))
     assert [(rows[i][0], rows[i][2]) for i in win] == sorted(live.items())
+
+
+_WORDS = ["alpha", "Alpha", "beta", "b", "zz", "a1", "9", "éte", "日本",
+          "Kelvin", "İx", "STRASSE", "omega"]
+
+
+def _first_occurrence_order(chunk):
+    """A ``postings_chunk`` table reordered the way run files were
+    written before chunks were term-ordered: (shard, first occurrence
+    of the term in the chunk, ord). The chunk's dictionary is in first
+    occurrence order, so its indices are that rank."""
+    import pyarrow as pa
+
+    rank = chunk["term"].combine_chunks().indices.to_numpy()
+    order = np.lexsort((chunk["ord"].to_numpy(), rank,
+                        chunk["shard"].to_numpy()))
+    return chunk.take(pa.array(order))
+
+
+@given(st.lists(st.lists(st.lists(st.sampled_from(_WORDS), max_size=8)
+                         .map(" ".join), min_size=1, max_size=6),
+                min_size=1, max_size=4),
+       st.integers(1, 5), st.sampled_from([1, 2, 128]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_encode_shard_tables_any_chunk_order(chunk_texts, n_shards,
+                                             block_size, data):
+    """``encode_shard_tables`` gives every shard the per-shard lexsort's
+    segment whether the chunks arrive term-ordered (``postings_chunk``
+    today), in first-occurrence order (run files of older builds) or as
+    a mix of the two (a resume over parts of both kinds)."""
+    import pyarrow as pa
+
+    from snowplow_elasticsearch_loader_ray.config import IndexConfig
+    from snowplow_elasticsearch_loader_ray.stages.postings import postings_chunk
+    from snowplow_elasticsearch_loader_ray.stages.segment import (
+        SEGMENT_SCHEMA, encode_shard_tables, segment_table)
+
+    cfg = IndexConfig(num_term_shards=n_shards)
+    chunks, ord_at = [], 0
+    for texts in chunk_texts:
+        ords = np.arange(ord_at, ord_at + len(texts), dtype=np.int64)
+        ord_at += len(texts)
+        chunks.append(postings_chunk(ords * 3 + 1, ords, pa.array(texts), cfg)
+                      .select(["shard", "term", "ord", "tf"]))
+    old = [_first_occurrence_order(c) for c in chunks]
+    picks = data.draw(st.lists(st.booleans(), min_size=len(chunks),
+                               max_size=len(chunks)))
+    mixed = [o if p else c for c, o, p in zip(chunks, old, picks)]
+
+    rows = [r for c in chunks for r in zip(
+        c["shard"].to_pylist(), c["term"].cast(pa.string()).to_pylist(),
+        c["ord"].to_pylist(), c["tf"].to_pylist()) if r[0] >= 0]
+    want = []
+    for s in range(n_shards):
+        mine = sorted((t.encode(), o, tf) for sh, t, o, tf in rows if sh == s)
+        if not mine:
+            want.append(SEGMENT_SCHEMA.empty_table())
+            continue
+        terms = [t for t, _, _ in mine]
+        starts = np.array([i for i in range(len(mine))
+                           if i == 0 or terms[i] != terms[i - 1]])
+        ends = np.append(starts[1:], len(mine))
+        want.append(segment_table(
+            [terms[i].decode() for i in starts],
+            np.array([o for _, o, _ in mine]), np.array([tf for *_, tf in mine]),
+            starts, ends, block_size))
+    for runs in (chunks, old, mixed):
+        got = encode_shard_tables(pa.concat_tables(runs), list(range(n_shards)),
+                                  block_size)
+        assert [g.equals(w) for g, w in zip(got, want)] == [True] * n_shards

@@ -7,6 +7,7 @@ restart, committed partitions are skipped byte-untouched and the final
 index equals a clean run's.
 """
 
+import dataclasses
 import glob
 import os
 
@@ -239,8 +240,6 @@ def test_distributed_resume_reruns_parts_committed_inline(
     manifest and docmap plus all segment manifests and the index
     manifest, resume with inline_build_max_docs=0, and the segments and
     docmap equal a clean build's."""
-    import dataclasses
-
     out = tmp_path_factory.mktemp("mixed")
     idx, clean = str(out / "idx"), str(out / "clean")
     B.build_index(docs_dir, clean, CFG)
@@ -258,3 +257,81 @@ def test_distributed_resume_reruns_parts_committed_inline(
                   dataclasses.replace(CFG, inline_build_max_docs=0))
     assert _artifact_sha1(idx) == _artifact_sha1(clean)
     assert B._run_outputs(mf.load(man_dir, "runs-part-0000"))
+
+
+def _fail_rename_of(monkeypatch, man_dir, name):
+    """Make ``os.replace`` raise when it publishes manifest ``name``."""
+    real = os.replace
+    target = os.path.join(man_dir, f"{name}.json")
+
+    def replace(src, dst):
+        if os.path.abspath(dst) == os.path.abspath(target):
+            raise OSError(f"injected rename failure for {name}")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def _whole_manifests(man_dir):
+    """Every manifest file parses; no tmp file is left behind."""
+    names = sorted(os.listdir(man_dir))
+    assert not [n for n in names if ".tmp" in n], names
+    return {n[:-len(".json")]: mf.load(man_dir, n[:-len(".json")])
+            for n in names}
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_commit_many_failed_rename_leaves_whole_manifests(tmp_path,
+                                                          monkeypatch, j):
+    """The j-th rename of a batch fails: the manifests renamed before it
+    are committed whole, the rest keep their previous state (absent, or
+    the old whole file), the tmp files are gone and the error surfaces.
+    A batch that succeeds leaves no tmp file either."""
+    man_dir = str(tmp_path / "manifests")
+    mf.commit(man_dir, "m-3", {"v": "old"})
+    items = [(f"m-{i}", {"v": i, "outputs": [f"f{i}"]}) for i in range(5)]
+    _fail_rename_of(monkeypatch, man_dir, f"m-{j}")
+    with pytest.raises(OSError, match="injected"):
+        mf.commit_many(man_dir, items)
+    got = _whole_manifests(man_dir)
+    for i in range(5):
+        if i < j:
+            assert got[f"m-{i}"]["v"] == i
+        elif i == 3:
+            assert got["m-3"]["v"] == "old"
+        else:
+            assert f"m-{i}" not in got
+    monkeypatch.undo()
+    written = mf.commit_many(man_dir, items)
+    assert _whole_manifests(man_dir) == {
+        name: p for (name, _), p in zip(items, written)}
+    assert [p["v"] for p in written] == list(range(5))
+
+
+@pytest.fixture(scope="module")
+def clean_index(docs_dir, tmp_path_factory):
+    idx = str(tmp_path_factory.mktemp("clean_commit") / "idx")
+    stats = B.build_index(docs_dir, idx, CFG)
+    return stats, _artifact_sha1(idx)
+
+
+@pytest.mark.parametrize("name,inline", [
+    ("runs-part-0001", True), ("segment-shard-0000", True),
+    ("segment-shard-0005", True), ("stats", True), ("metrics", True),
+    ("index", True), ("segment-shard-0003", False)])
+def test_build_resumes_after_failed_manifest_rename(
+        docs_dir, clean_index, tmp_path, monkeypatch, name, inline):
+    """A manifest rename that fails mid-batch leaves only whole
+    manifests; ``build_index`` then resumes to the clean build's
+    ``segments/`` and ``docmap/`` bytes (inline and distributed)."""
+    cfg = CFG if inline else dataclasses.replace(CFG, inline_build_max_docs=0)
+    idx = str(tmp_path / "idx")
+    man_dir = os.path.join(idx, "manifests")
+    _fail_rename_of(monkeypatch, man_dir, name)
+    with pytest.raises(OSError, match="injected"):
+        B.build_index(docs_dir, idx, cfg)
+    monkeypatch.undo()
+    got = _whole_manifests(man_dir)
+    assert name not in got and "index" not in got
+    assert B.build_index(docs_dir, idx, cfg) == clean_index[0]
+    assert _artifact_sha1(idx) == clean_index[1]
