@@ -28,8 +28,10 @@ Two checkouts produce the same artifacts when their outputs are equal:
     diff <(python scripts/artifact_sha1.py $PARENT /tmp/a) \\
          <(python scripts/artifact_sha1.py . /tmp/b)
 
-The corpus is 2,400 synthetic pages in 6 files, read in 256-row chunks
-with 4,096-row run row groups, so files hold several chunks and row
+The corpus is 2,400 synthetic pages in 6 files, read in 256-row chunks,
+so each run file holds several chunks and every chunk after the first
+extends its file's vocabulary with a dictionary delta; the 4,096-row
+``run_row_group_size`` shapes the positions build's run files, whose row
 groups straddle shards. About ten seconds on one CPU.
 """
 

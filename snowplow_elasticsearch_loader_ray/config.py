@@ -33,7 +33,7 @@ class IndexConfig:
     # --- index layout ---
     num_term_shards: int = 16          # segment partitions; scale ~2-4x cluster cores
     block_size: int = 128              # postings per compressed block (block-max granularity)
-    run_row_group_size: int = 16_384   # rows per run-file row group (phase-2 shard pruning grain)
+    run_row_group_size: int = 16_384   # rows per row group of the positions build's run files
 
     # --- BM25 (fixed; oracle and engine share these) ---
     k1: float = 1.2

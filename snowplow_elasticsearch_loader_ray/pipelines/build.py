@@ -11,7 +11,9 @@ counters. No stage starts a Ray Data execution.
    file reads it in ``cfg.batch_size`` batches of
    ``[url, warc_ts, html, lang]``, runs ``ExtractTransform`` and streams
    each status's rows to ``status=<s>/part-<k>.parquet`` (k = the page
-   file's position in input order): good docs and dead-letter rows land
+   file's position in input order; good docs in lz4, since the build
+   reads them and they are re-derivable; the dead-letter sink in
+   zstd): good docs and dead-letter rows land
    in separate directories from a single pass (the reference's
    good-sink/bad-sink split, ``Processing.scala:209-267``, without
    reading the corpus twice). Docs files are named in input order, so
@@ -21,25 +23,36 @@ counters. No stage starts a Ray Data execution.
 
 2. **phase 1 — runs**: one task per input file tokenizes it
    (``TokenizeFilePostings`` — each doc gets its dense corpus ORDINAL,
-   see stages/postings.py), streams the (shard, term)-sorted chunks into one
-   run file with small row groups under its resume part's tmp dir, and
-   returns the chunks' docmap rows held in memory. Parts (contiguous
+   see stages/postings.py), streams the (shard, term)-sorted chunks'
+   posting rows into a run file under its resume part's tmp dir, and
+   returns the chunks' docmap rows held in memory. The run file is an
+   Arrow IPC file with lz4 buffers (written once, read once, removed
+   by ``gc_runs``): each chunk is exactly ``num_term_shards`` record
+   batches, batch ``i`` holding shard ``i % S``, and the term column is
+   a dictionary over one vocabulary per file that each chunk extends
+   as a dictionary delta, so no per-posting string is cast on either
+   side. An input file whose vocabulary outgrows
+   ``RUN_VOCAB_MAX_TERMS`` continues in a further run file, which
+   keeps each chunk's vocabulary lookup bounded. Parts (contiguous
    slices of the sorted doc files) are the resume unit, files the
    parallelism unit: when a part's last file task finishes, the driver
    renames its tmp dir, writes ``docmap/part-K.parquet`` (ord → doc_id,
    doclen, lang; a contiguous ordinal range per part) and commits the
-   part's manifest. The shard-clustered row-group layout IS the
-   term-shard exchange, materialized to storage instead of held in the
-   object store: at 100 TB the shuffle spills by construction, a killed
-   job resumes at partition granularity (the KCL-checkpoint analogue,
-   SURVEY.md C1), and the file count stays at one per input file (not
-   files × shards).
+   part's manifest, which records the run format and
+   ``num_term_shards`` (a resume under another shard count is
+   refused). The per-(chunk, shard) batch layout
+   IS the term-shard exchange, materialized to storage instead of held
+   in the object store: at 100 TB the shuffle spills by construction, a
+   killed job resumes at partition granularity (the KCL-checkpoint
+   analogue, SURVEY.md C1), and the file count grows with the input
+   files and their vocabularies, not with files × shards.
 
 3. **phase 2 — segments**: one Ray task per contiguous shard group —
    groups sized by the run manifests' postings estimate
    (``PHASE2_GROUP_POSTINGS``, independent of the cluster size) —
-   reads the run files, in ordinal order, with a shard-range filter (row-group
-   statistics prune to the group's share of each file), orders all the
+   memory-maps the run files, in ordinal order, and reads exactly the
+   group's batches of each chunk (``_read_runs``; the term column comes
+   back as one dictionary array per file), orders all the
    group's rows by (shard, term) with ONE stable sort (ords already
    arrive ascending within a term, and each chunk already in (shard,
    term) order, so the sort merges presorted runs), cuts each shard's
@@ -62,8 +75,9 @@ counters. No stage starts a Ray Data execution.
 **Inline fast path** (``_build_index_inline``, corpora at or below
 ``cfg.inline_build_max_docs``): phases 1 and 2 run in the calling
 process over the same kernels, and the exchange never leaves memory —
-the phase-1 chunks, term column still dictionary-typed, go straight to
-the phase-2 encode, and each phase's manifests commit as one batch.
+the phase-1 chunks, term column dictionary-typed as in a run file, go
+straight to the phase-2 encode, and each phase's manifests commit as
+one batch.
 Its docmap parts and segments match the distributed
 path's byte for byte, and so do its manifests, except that they name no
 run files: nothing is written under ``runs/``, a ``runs-part`` manifest
@@ -76,7 +90,6 @@ without run files, so phase 2 never encodes a subset of the parts.
 
 from __future__ import annotations
 
-import contextlib
 import glob
 import itertools
 import os
@@ -92,8 +105,7 @@ import ray
 
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
 from ..stages.extract import ExtractTransform
-from ..stages.postings import (CHUNK_SCHEMA, RUN_SCHEMA,
-                               TokenizeFilePostings)
+from ..stages.postings import CHUNK_SCHEMA, TokenizeFilePostings
 from ..stages.segment import encode_shard_tables, SEGMENT_SCHEMA
 from ..stages.transforms import with_retries
 from ..state import manifest as mf
@@ -139,9 +151,13 @@ def _ingest_file(path: str, k: int, tmp: str, cfg: IndexConfig) -> dict[str, int
                 if status not in writers:
                     d = os.path.join(tmp, f"status={status}")
                     os.makedirs(d, exist_ok=True)
+                    # good docs are re-derivable from the pages and
+                    # read by the build (phase 1, the positions build):
+                    # the cheaper codec; the dead-letter sink keeps zstd
                     writers[status] = pq.ParquetWriter(
                         os.path.join(d, f"part-{k:05d}.parquet"),
-                        part.schema, compression="zstd")
+                        part.schema,
+                        compression="lz4" if status == "good" else "zstd")
                 writers[status].write_table(part)
                 counts[status] = counts.get(status, 0) + part.num_rows
     finally:
@@ -230,14 +246,38 @@ def good_docs_dir(ingest_out_dir: str) -> str:
 #: docmap extraction + CONTIGUOUS _plan_parts grouping. 3 = one run
 #: file per input file, named in file order, whose rows keep the
 #: chunks' ordinal order, which phase 2 relies on (format-2 parts were
-#: written through an order-free block write). Bump whenever the part layout or row schema changes:
-#: resume compares it (and the exact file grouping) against committed
-#: manifests and REFUSES a mixed index instead of silently skipping
-#: old-format parts.
-RUN_FORMAT = 3
+#: written through an order-free block write). 4 = an input file's run
+#: files are Arrow IPC files of posting rows only, ``num_term_shards``
+#: record batches per chunk (see ``_run_batches``), a further file per
+#: ``RUN_VOCAB_MAX_TERMS`` of vocabulary. Bump whenever the part
+#: layout or row schema changes: resume compares it (and the exact file
+#: grouping and shard count) against committed manifests and REFUSES a
+#: mixed index instead of silently skipping old-format parts.
+RUN_FORMAT = 4
 
 #: the run columns phase 2 encodes from
 PHASE2_COLUMNS = ["shard", "term", "ord", "tf"]
+
+#: a run file's rows: the chunks' posting rows, the term column a
+#: dictionary over one vocabulary per file
+RUN_FILE_SCHEMA = pa.schema([CHUNK_SCHEMA.field(c) for c in PHASE2_COLUMNS])
+
+#: run files are written once and read once, by phase 2, then removed
+#: by ``gc_runs``: lz4 buffers, and each chunk's new terms go out as a
+#: dictionary delta of the file's vocabulary
+RUN_IPC_OPTIONS = pa.ipc.IpcWriteOptions(compression="lz4",
+                                         emit_dictionary_deltas=True)
+
+#: a run file's vocabulary cap, in terms. Each chunk after a file's
+#: first re-points its terms at the file's vocabulary (``pc.index_in``),
+#: which hashes the whole vocabulary again, about 0.12 us per term on
+#: one CPU, so an uncapped file's per-chunk cost grows with its chunk
+#: count (uncapped, about 15 ms for the first 2k-doc chunk of
+#: ``scripts/write_path_timing.py --path run-chunks``' file and over
+#: 50 ms for its 12th). A
+#: chunk that leaves the vocabulary at this size closes the file, and
+#: the next chunk starts a new one with its own vocabulary.
+RUN_VOCAB_MAX_TERMS = 1 << 16
 
 
 def _plan_parts(files: list[str], target_parts: int | None) -> list[list[str]]:
@@ -298,7 +338,7 @@ def _run_files(index_dir: str) -> list[str]:
     (``encode_shard_tables``), and path-string order breaks it at 10^4
     parts (``part=10000`` sorts before ``part=9999``)."""
     runs_dir = os.path.join(index_dir, "runs")
-    files = glob.glob(os.path.join(runs_dir, "part=*", "*.parquet"))
+    files = glob.glob(os.path.join(runs_dir, "part=*", "*.arrow"))
     return sorted(files, key=lambda f: [
         int(n) for n in re.findall(r"\d+", os.path.relpath(f, runs_dir))])
 
@@ -311,7 +351,84 @@ def _open_part(index_dir: str, k: int, n_files: int) -> list[str]:
     shutil.rmtree(tmp, ignore_errors=True)
     shutil.rmtree(os.path.join(runs_dir, _part_name(k)), ignore_errors=True)
     os.makedirs(tmp)
-    return [os.path.join(tmp, f"run-{i:05d}.parquet") for i in range(n_files)]
+    return [os.path.join(tmp, f"run-{i:05d}.arrow") for i in range(n_files)]
+
+
+def _run_file_path(run_path: str, j: int) -> str:
+    """The ``j``-th run file of the input file whose first run file is
+    ``run_path``: ``run-<i>.arrow``, then ``run-<i>.<j>.arrow``, which
+    ``_run_files``' numeric sort keeps in chunk order."""
+    return run_path if j == 0 else f"{run_path[:-len('.arrow')]}.{j}.arrow"
+
+
+def _run_batches(postings: pa.Table, shard: np.ndarray,
+                 vocab: pa.Array | None, num_shards: int
+                 ) -> tuple[list[pa.RecordBatch], pa.Array]:
+    """One chunk's posting rows (sorted by shard; ``shard`` is their
+    shard column) → its ``num_shards`` run-file batches, batch ``i``
+    holding shard ``i`` (empty ones included), and the file's
+    vocabulary after the chunk. The first chunk's dictionary becomes
+    the vocabulary; a later chunk's terms are re-pointed at it, and its
+    new terms appended, which the IPC writer emits as a dictionary
+    delta. No per-posting string is made."""
+    term = postings["term"].chunk(0)
+    if vocab is None:
+        vocab = term.dictionary
+    else:
+        local = term.dictionary
+        pos = pc.fill_null(pc.index_in(local, value_set=vocab), -1
+                           ).to_numpy(zero_copy_only=False, writable=True)
+        new = np.flatnonzero(pos < 0)
+        if len(new):
+            pos[new] = np.arange(len(vocab), len(vocab) + len(new))
+            vocab = pa.concat_arrays([vocab, local.take(new)])
+        term = pa.DictionaryArray.from_arrays(
+            pa.array(pos[term.indices.to_numpy()]), vocab)
+    batch = pa.record_batch(
+        [postings["shard"].chunk(0), term, postings["ord"].chunk(0),
+         postings["tf"].chunk(0)], schema=RUN_FILE_SCHEMA)
+    bounds = np.searchsorted(shard, np.arange(num_shards + 1)).tolist()
+    return [batch.slice(lo, hi - lo)
+            for lo, hi in zip(bounds[:-1], bounds[1:])], vocab
+
+
+def _read_runs(files: list[str], lo: int, hi: int,
+               num_shards: int) -> pa.Table:
+    """Shards ``lo..hi`` of every run file → one table per file,
+    concatenated in file order (chunk order, then shard order within a
+    file). Each file is memory-mapped and only the range's batches are
+    read (``get_batch``): chunk ``c``'s shard ``s`` is batch
+    ``c * num_shards + s``. A file's term column becomes ONE dictionary
+    array (every batch reads back with the file's whole, delta-extended
+    vocabulary), cut down to the terms the range uses when it is not
+    every shard, so the phase-2 unification merges one dictionary per
+    file, not one per batch, and its string work scales with the
+    range's terms, not the files'."""
+    tables = [RUN_FILE_SCHEMA.empty_table()]
+    for f in files:
+        with pa.memory_map(f) as src:
+            reader = pa.ipc.open_file(src)
+            n = reader.num_record_batches
+            if n % num_shards:
+                raise ValueError(f"{f}: {n} record batches, not a multiple "
+                                 f"of {num_shards} term shards")
+            batches = [reader.get_batch(c + s) for c in range(0, n, num_shards)
+                       for s in range(lo, hi + 1)]
+        if not batches:
+            continue
+        cols = {c: pa.chunked_array([b.column(i) for b in batches])
+                for i, c in enumerate(PHASE2_COLUMNS)}
+        idx = pa.concat_arrays([t.indices for t in cols["term"].chunks])
+        vocab = batches[-1].column(1).dictionary
+        if hi - lo + 1 < num_shards:     # a part of the shards: cut
+            ix = idx.to_numpy()
+            used = np.zeros(len(vocab), dtype=bool)
+            used[ix] = True
+            idx = pa.array((np.cumsum(used, dtype=np.int32) - 1)[ix])
+            vocab = vocab.take(np.flatnonzero(used))
+        cols["term"] = pa.DictionaryArray.from_arrays(idx, vocab)
+        tables.append(pa.table(cols, schema=RUN_FILE_SCHEMA))
+    return pa.concat_tables(tables)
 
 
 def _tokenize_file(path: str, base: int, cfg: IndexConfig,
@@ -322,37 +439,50 @@ def _tokenize_file(path: str, base: int, cfg: IndexConfig,
     its run row count).
 
     With ``run_path`` (the distributed build) it streams the file's
-    chunks, cast to ``RUN_SCHEMA``, into that run file (one row group
-    per ``run_row_group_size`` rows of a chunk: each chunk is sorted by
-    shard, so the row groups stay shard-clustered and phase 2 prunes to
-    its shards via the ``shard`` statistics, the only column that gets
-    them). ``keep`` (the inline build) collects each chunk's posting
-    rows, term column still dictionary-typed, for an in-memory phase 2.
+    chunks' posting rows into that run file, an Arrow IPC file of
+    ``cfg.num_term_shards`` record batches per chunk
+    (``_run_batches``), so phase 2 reads exactly its shards' batches.
+    Once a file's vocabulary reaches ``RUN_VOCAB_MAX_TERMS`` the file
+    is closed and the next chunk starts another (``_run_file_path``).
+    ``keep`` (the inline build) collects each chunk's posting rows,
+    term column still dictionary-typed, for an in-memory phase 2.
     Either way the chunks' docmap rows (``shard == -1``, the leading
     rows of each chunk) are kept in memory, so a run file is never read
     back. The docmap leaves the task as numpy columns: a returned Arrow
     table would make Ray's serializer import ``ray.data`` in the worker.
-    A retry rewrites the same file."""
+    A retry rewrites the same files."""
     run_rows = 0
     docmap = [DOCMAP_SCHEMA.empty_table()]
     items = pa.table({"path": [path], "base": [base]})
-    with (pq.ParquetWriter(run_path, RUN_SCHEMA, compression="zstd",
-                           write_statistics=["shard"])
-          if run_path else contextlib.nullcontext()) as w:
+    w, vocab, n_run_files = None, None, 0
+    try:
         for chunk in TokenizeFilePostings(cfg)(items):
-            if w is not None:
-                w.write_table(chunk.cast(RUN_SCHEMA),
-                              row_group_size=cfg.run_row_group_size)
             run_rows += chunk.num_rows
-            n_docs = int(np.searchsorted(chunk["shard"].to_numpy(),
-                                         DOCMAP_SHARD, side="right"))
+            shard = chunk["shard"].to_numpy()
+            n_docs = int(np.searchsorted(shard, DOCMAP_SHARD, side="right"))
             t = chunk.slice(0, n_docs)
             docmap.append(pa.table(
                 {"ord": t["ord"], "doc_id": t["doc_id"],
                  "doclen": t["tf"].cast(pa.int64()), "lang": t["lang"]},
                 schema=DOCMAP_SCHEMA))
+            postings = chunk.slice(n_docs).select(PHASE2_COLUMNS)
+            if run_path:
+                if w is None:
+                    w = pa.ipc.new_file(_run_file_path(run_path, n_run_files),
+                                        RUN_FILE_SCHEMA, options=RUN_IPC_OPTIONS)
+                    n_run_files += 1
+                batches, vocab = _run_batches(postings, shard[n_docs:], vocab,
+                                              cfg.num_term_shards)
+                for b in batches:
+                    w.write_batch(b)
+                if len(vocab) >= RUN_VOCAB_MAX_TERMS:
+                    w.close()
+                    w, vocab = None, None
             if keep is not None:
-                keep.append(chunk.slice(n_docs).select(PHASE2_COLUMNS))
+                keep.append(postings)
+    finally:
+        if w is not None:
+            w.close()
     dm = pa.concat_tables(docmap)
     return {c: dm[c].to_numpy() for c in DOCMAP_SCHEMA.names}, run_rows
 
@@ -365,7 +495,7 @@ def _tokenize_file_task(path: str, base: int, run_path: str,
 
 def _close_part(index_dir: str, k: int, files_k: list[str],
                 outs: list[tuple[dict[str, np.ndarray], int]],
-                t0: float, with_runs: bool = True) -> dict:
+                t0: float, num_shards: int, with_runs: bool = True) -> dict:
     """Commit part K's run files (tmp-dir rename) when ``with_runs``,
     write ``docmap/part-K.parquet`` from its files' docmap columns
     (``outs`` in file order) → the ``runs-part-K`` manifest payload (the
@@ -394,6 +524,7 @@ def _close_part(index_dir: str, k: int, files_k: list[str],
         "part": k,
         "stage": "runs",
         "format": RUN_FORMAT,
+        "num_term_shards": num_shards,
         "input_files": [os.path.basename(f) for f in files_k],
         "row_count": dm.num_rows,
         "counters": {"docs": dm.num_rows,
@@ -412,24 +543,44 @@ def _run_outputs(m: dict) -> list[str]:
             if rel.split(os.sep)[0] == "runs"]
 
 
-def _check_resumable_parts(man_dir: str, parts: list[list[str]]) -> None:
+def _check_resumable_parts(man_dir: str, parts: list[list[str]],
+                           num_shards: int) -> None:
     """Resume safety: a committed part written under a different run
-    format or file grouping must not be silently skipped — it would
-    splice old-layout postings into a new build. Refuse loudly."""
+    format, file grouping or term-shard count must not be silently
+    skipped — it would splice old-layout postings into a new build (a
+    run file's batches are per shard). Refuse loudly."""
     expected = {k: [os.path.basename(f) for f in files_k]
                 for k, files_k in enumerate(parts)}
     for name, m in mf.load_all(man_dir, prefix="runs-part-").items():
         if (m.get("format") != RUN_FORMAT
-                or m.get("input_files") != expected.get(m.get("part"))):
+                or m.get("input_files") != expected.get(m.get("part"))
+                or m.get("num_term_shards") != num_shards):
             raise RuntimeError(
                 f"{name}: committed under run format "
-                f"{m.get('format')!r} / grouping {m.get('input_files')!r}, "
-                f"but this build uses format {RUN_FORMAT} / grouping "
-                f"{expected.get(m.get('part'))!r}. Resuming would mix "
+                f"{m.get('format')!r} / grouping {m.get('input_files')!r} / "
+                f"num_term_shards {m.get('num_term_shards')!r}, but this "
+                f"build uses format {RUN_FORMAT} / grouping "
+                f"{expected.get(m.get('part'))!r} / num_term_shards "
+                f"{num_shards}. Resuming would mix "
                 "incompatible parts — delete the index dir's manifests/"
                 "runs-part-*.json, runs/ and docmap/ (and any segment "
                 "manifests) to rebuild, or rerun with the original "
-                "num_parts/input set.")
+                "num_parts/num_term_shards/input set.")
+
+
+def _check_resumable_segments(man_dir: str, num_shards: int) -> None:
+    """Resume safety for phase 2: a segment committed under another
+    ``num_term_shards`` holds the terms that hash there modulo the old
+    count, so the readers' routing would miss them. Refuse loudly."""
+    for name, m in mf.load_all(man_dir, prefix="segment-shard-").items():
+        if m.get("num_term_shards") != num_shards:
+            raise RuntimeError(
+                f"{name}: committed under num_term_shards "
+                f"{m.get('num_term_shards')!r}, but this build uses "
+                f"{num_shards}. Resuming would route terms to the wrong "
+                "segments — delete the index dir's manifests/, runs/, "
+                "docmap/ and segments/ to rebuild, or rerun with the "
+                "original num_term_shards.")
 
 
 def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
@@ -448,7 +599,8 @@ def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
     bases = _ordinal_bases(doc_files, counts if counts is not None
                            else _footer_counts(doc_files))
     parts = _plan_parts(doc_files, num_parts)
-    _check_resumable_parts(man_dir, parts)
+    _check_resumable_parts(man_dir, parts, cfg.num_term_shards)
+    _check_resumable_segments(man_dir, cfg.num_term_shards)   # before any work
     # a part the inline build committed has a docmap but no run files:
     # run it again, or phase 2 would encode the other parts' rows only
     done = {m["part"] for m in mf.load_all(man_dir, prefix="runs-part-").values()
@@ -480,7 +632,8 @@ def build_runs(doc_files: list[str], index_dir: str, cfg: IndexConfig,
             left[k] -= 1
             if left[k] == 0:
                 mf.commit(man_dir, f"runs-part-{k:04d}", _close_part(
-                    index_dir, k, todo[k], outs.pop(k), started[k]))
+                    index_dir, k, todo[k], outs.pop(k), started[k],
+                    cfg.num_term_shards))
                 committed += 1
         except Exception as e:
             # submit no more tasks, but let the running ones finish and
@@ -540,7 +693,7 @@ def load_docvalues(index_dir: str, column: str = "lang"):
 
 
 def _write_segment(seg: pa.Table, index_dir: str, shard: int,
-                   input_files: list[str]) -> dict:
+                   input_files: list[str], num_shards: int) -> dict:
     """Write ``segments/shard-<s>.parquet`` (tmp + rename) → its
     ``segment-shard`` manifest payload (the caller commits it;
     ``input_files`` is recorded as given)."""
@@ -560,6 +713,7 @@ def _write_segment(seg: pa.Table, index_dir: str, shard: int,
     return {
         "part": shard,
         "stage": "segments",
+        "num_term_shards": num_shards,
         "input_files": input_files,
         "counters": {
             "terms": int(seg.num_rows),
@@ -572,8 +726,8 @@ def _write_segment(seg: pa.Table, index_dir: str, shard: int,
 
 
 @ray.remote(num_cpus=1, max_retries=3, retry_exceptions=[OSError])
-def _encode_shard_group(index_dir: str, shards: list[int],
-                        block_size: int) -> list[dict]:
+def _encode_shard_group(index_dir: str, shards: list[int], block_size: int,
+                        num_shards: int) -> list[dict]:
     """Segment encode for a CONTIGUOUS group of shards in one task.
 
     Transient I/O errors re-execute via Ray task retry (the reference's
@@ -581,23 +735,20 @@ def _encode_shard_group(index_dir: str, shards: list[int],
     fail the job loudly — the permanent/transient split of
     ElasticsearchSink.scala:145-198.
 
-    Grouping amortizes the per-task scan setup — opening every run
-    file, footer/row-group-stat pruning, and the boundary row groups a
-    single-shard filter decompresses twice (a 16k-row group straddling
-    two shards is read by both their tasks; a range filter reads it
-    once). The encode is one pass over the whole group
+    Grouping amortizes the per-task set-up — dispatch, and opening and
+    memory-mapping every run file — over the group's shards; the read
+    itself is exact (``_read_runs``: only the group's batches of each
+    chunk). The encode is one pass over the whole group
     (``encode_shard_tables``: one dictionary unification, one
     vocabulary sort and one stable argsort by (shard, term), then each
     shard's slice through ``codec.encode_postings_batch``), so at small
-    corpora the scan setup is most of the task;
+    corpora the set-up is most of the task;
     ``_plan_shard_groups`` gives each task about
     ``PHASE2_GROUP_POSTINGS`` estimated postings, which is one task for
     a small corpus and one shard per task once a shard alone holds that
     many. Idempotent per shard
     (tmp+rename writes, manifests committed by the caller), so a retry
     mid-group re-writes at most already-written files."""
-    import pyarrow.dataset as pads
-
     # Threading note (measured, BASELINE.md round-2): capping the Arrow
     # CPU pool per task (pa.set_cpu_count(1)) was tried against an
     # apparent 3x phase-2 degradation at 32 concurrent tasks; the
@@ -618,30 +769,17 @@ def _encode_shard_group(index_dir: str, shards: list[int],
             raise OSError(f"injected transient failure for shard {shard}")
 
     files = _run_files(index_dir)
-    lo, hi = min(shards), max(shards)
-    if files:
-        # one row-group-pruned read for the whole contiguous shard
-        # range: each run file is shard-sorted, so the filter touches
-        # only the groups whose stats overlap [lo, hi]. Terms come back
-        # dictionary-encoded (parquet dictionary pages) so no
-        # per-posting string is materialized.
-        fmt = pads.ParquetFileFormat(read_options={"dictionary_columns": ["term"]})
-        flt = (pads.field("shard") >= lo) & (pads.field("shard") <= hi)
-        runs = pads.dataset(files, format=fmt).to_table(
-            columns=PHASE2_COLUMNS, filter=flt)
-    else:
-        runs = None
-
-    segs = (encode_shard_tables(runs, shards, block_size) if runs is not None
-            else [SEGMENT_SCHEMA.empty_table() for _ in shards])
+    runs = _read_runs(files, min(shards), max(shards), num_shards)
+    segs = encode_shard_tables(runs, shards, block_size)
+    del runs                   # drop the batches before the writes
     inputs = [os.path.relpath(f, index_dir) for f in files]
-    return [_write_segment(seg, index_dir, shard, inputs)
+    return [_write_segment(seg, index_dir, shard, inputs, num_shards)
             for shard, seg in zip(shards, segs)]
 
 
 #: phase-2 task size, in estimated postings (the run-manifest counter
 #: spread evenly over the shards). Each task pays a fixed set-up — task
-#: dispatch, opening and footer-pruning every run file — of about 3 ms,
+#: dispatch, opening every run file — of about 3 ms,
 #: then reads, encodes and writes about 5 M postings/s on one CPU
 #: (BASELINE.md "Phase-2 tasks sized by postings"), so a 2^20-posting
 #: task (~190 ms, ~16 MiB of term-dict/ord/tf rows) spends under 2% of
@@ -656,8 +794,8 @@ def _plan_shard_groups(missing: list[int], num_shards: int,
     """Contiguous groups of missing shards for phase-2 tasks, each of
     about ``PHASE2_GROUP_POSTINGS`` estimated postings: a corpus under
     the target is one task, a shard over it is a task of its own.
-    Groups never span a gap in ``missing`` — the range filter must not
-    re-read committed shards' row groups."""
+    Groups never span a gap in ``missing`` — the range read must not
+    re-read committed shards' batches."""
     per_shard = max(1, est_total_postings // max(1, num_shards))
     size = max(1, PHASE2_GROUP_POSTINGS // per_shard)
     groups: list[list[int]] = []
@@ -674,6 +812,7 @@ def _plan_shard_groups(missing: list[int], num_shards: int,
 
 def build_segments(index_dir: str, cfg: IndexConfig) -> None:
     man_dir = os.path.join(index_dir, "manifests")
+    _check_resumable_segments(man_dir, cfg.num_term_shards)
     missing = [s for s in range(cfg.num_term_shards)
                if not mf.is_committed(man_dir, f"segment-shard-{s:04d}")]
     if not missing:
@@ -691,7 +830,8 @@ def build_segments(index_dir: str, cfg: IndexConfig) -> None:
                 "build_index again)")
     est = sum(m["counters"].get("postings", 0) for m in run_manifests.values())
     groups = _plan_shard_groups(missing, cfg.num_term_shards, est)
-    refs = [_encode_shard_group.remote(index_dir, g, cfg.block_size)
+    refs = [_encode_shard_group.remote(index_dir, g, cfg.block_size,
+                                       cfg.num_term_shards)
             for g in groups]
     for g, payloads in zip(groups, ray.get(refs)):
         mf.commit_many(man_dir, [(f"segment-shard-{s:04d}", payload)
@@ -728,16 +868,18 @@ def _build_index_inline(files: list[str], counts: list[int],
     man_dir = os.path.join(index_dir, "manifests")
     bases = _ordinal_bases(files, counts)
     parts = _plan_parts(files, None)       # per-file: the distributed default
-    _check_resumable_parts(man_dir, parts)
+    _check_resumable_parts(man_dir, parts, cfg.num_term_shards)
+    _check_resumable_segments(man_dir, cfg.num_term_shards)
 
-    chunks: list[pa.Table] = [CHUNK_SCHEMA.empty_table().select(PHASE2_COLUMNS)]
+    chunks: list[pa.Table] = [RUN_FILE_SCHEMA.empty_table()]
     part_manifests = []
     for k, files_k in enumerate(parts):
         t0 = time.time()
         outs = [_tokenize_file(f, bases[f], cfg, keep=chunks) for f in files_k]
         if not mf.is_committed(man_dir, f"runs-part-{k:04d}"):
             part_manifests.append((f"runs-part-{k:04d}", _close_part(
-                index_dir, k, files_k, outs, t0, with_runs=False)))
+                index_dir, k, files_k, outs, t0, cfg.num_term_shards,
+                with_runs=False)))
     mf.commit_many(man_dir, part_manifests)
 
     missing = [s for s in range(cfg.num_term_shards)
@@ -746,7 +888,8 @@ def _build_index_inline(files: list[str], counts: list[int],
                                cfg.block_size)
     inputs = [os.path.basename(f) for f in files]
     mf.commit_many(man_dir, [
-        (f"segment-shard-{shard:04d}", _write_segment(seg, index_dir, shard, inputs))
+        (f"segment-shard-{shard:04d}", _write_segment(
+            seg, index_dir, shard, inputs, cfg.num_term_shards))
         for shard, seg in zip(missing, segs)])
 
 
@@ -827,11 +970,13 @@ def gc_runs(index_dir: str) -> int:
 
     ``runs/`` is a shuffle intermediate kept for per-shard re-encode
     resume; once the ``index`` manifest is committed it is pure storage
-    overhead (~10-40× the compressed segments — at 100 TB input that is
-    the dominant scratch footprint). Returns bytes freed. After GC, a
-    deleted segment manifest can no longer re-encode from runs — the
-    recovery path is rerunning phase 1 (delete the ``runs-part-*``
-    manifests too; ``_encode_shard_group`` fails loudly on the half-state).
+    overhead (lz4 Arrow IPC, 3-4× the compressed segments: 1.96 MB
+    against 0.66 MB on a 2.5k-page synthetic corpus at 16 shards — at
+    100 TB input that is the dominant scratch footprint). Returns bytes
+    freed. After GC, a deleted segment manifest can no longer re-encode
+    from runs — the recovery path is rerunning phase 1 (delete the
+    ``runs-part-*`` manifests too; ``_encode_shard_group`` fails loudly
+    on the half-state).
     """
     man_dir = os.path.join(index_dir, "manifests")
     if not mf.is_committed(man_dir, "index"):

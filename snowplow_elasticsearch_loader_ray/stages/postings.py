@@ -36,22 +36,21 @@ sorted: the term column is a ``DictionaryArray`` over that same Arrow
 dictionary (plus the docmap rows' empty placeholder), and the chunk
 leaves the kernel with it (``CHUNK_SCHEMA``). The in-process build
 keeps those chunks for its phase 2, which only unifies their
-dictionaries. The distributed build casts each chunk to ``RUN_SCHEMA``
-(plain strings, one per posting) as it writes the run file: writing
-the dictionary-typed column there was measured slower (50 → 75 ms per
-build round).
+dictionaries. The distributed build writes them to its Arrow IPC run
+file still dictionary-typed, one vocabulary per file that each chunk
+extends as a dictionary delta (``build._run_batches``), so neither side
+of the exchange casts a per-posting string.
 
 The chunk output is ordered by (shard, term bytes, ord) — docmap rows
-(shard = -1) lead — which is the order a segment is cut in: every chunk,
-and so every run-file row group, reaches phase 2 as one presorted run,
-and ``segment.encode_shard_tables``' stable sort only merges the runs
+(shard = -1) lead — which is the order a segment is cut in: every chunk
+reaches phase 2 as one presorted run (its run-file batches in shard
+order), and ``segment.encode_shard_tables``' stable sort only merges the runs
 (operators hand over their output in the order the next one consumes
 it — the Velox pipeline design, PAPERS.md). Phase 2 does not depend on
 it: rows in any order within a (shard, term), ords ascending, encode to
-the same bytes, so run files written before this order (first
-occurrence of the term in the chunk) resume under the same
-``RUN_FORMAT``. The shard order keeps the run files shard-clustered per
-row group for the phase-2 pruned read and the parquet encodings tight.
+the same bytes. The shard order is what lets phase 1 cut each chunk's
+posting rows into one run-file batch per shard with zero-copy slices,
+and phase 2 read exactly its shards' batches.
 """
 
 from __future__ import annotations
@@ -64,6 +63,8 @@ import pyarrow.parquet as pq
 from ..config import IndexConfig, DEFAULT_CONFIG, DOCMAP_SHARD
 from ..tokenizer import term_shards, tokenize_to_terms
 
+#: a chunk's rows with plain-string terms (the decoded form; the run
+#: files and the inline build keep the term column dictionary-typed)
 RUN_SCHEMA = pa.schema(
     [
         ("shard", pa.int32()),

@@ -52,10 +52,10 @@ def encode_shard_tables(runs: pa.Table, shards: list[int],
     Rows must arrive with ords increasing within each (shard, term).
     The build delivers them that way: each chunk's postings are ordered
     by ord within a term, chunks follow ordinal order inside a run
-    file, run files are contiguous ordinal ranges scanned in ordinal
-    order (integer part number, then file index), and filters keep row
-    order. So only the keys need ordering: the term column is
-    dictionary-encoded once (chunk dictionaries unified), the
+    file, run files are contiguous ordinal ranges read in ordinal
+    order (integer part number, then file index), and the batch read
+    keeps each file's chunk order. So only the keys need ordering: the
+    term column is dictionary-encoded once (chunk dictionaries unified), the
     vocabulary ranked by ``pc.sort_indices`` (UTF-8 byte order, which
     equals code-point order), and the rows put in ``shard * n_vocab +
     rank`` order by ONE stable integer argsort that keeps the arrival
@@ -67,9 +67,8 @@ def encode_shard_tables(runs: pa.Table, shards: list[int],
     Each ``postings_chunk`` output already arrives in that key order
     (shard, then term bytes), so the argsort only merges presorted
     runs, one per chunk: numpy's stable sort of int64 keys is timsort,
-    which finds the runs and merges them. Rows in any other order (a
-    run file written before chunks were term-ordered) still sort
-    correctly, only slower.
+    which finds the runs and merges them. Rows in any other order
+    still sort correctly, only slower.
     """
     has_shard = "shard" in runs.column_names
     if not has_shard and len(shards) != 1:
@@ -79,8 +78,9 @@ def encode_shard_tables(runs: pa.Table, shards: list[int],
     term_col = runs["term"]
     if isinstance(term_col, pa.ChunkedArray):
         term_col = term_col.combine_chunks()   # unifies chunk dictionaries
-    # the build reads the term column dictionary-encoded straight from
-    # parquet (dictionary pages), so this is usually a no-op view
+    # the build hands the term column over dictionary-encoded (one
+    # dictionary per run file, or per inline chunk), so this is usually
+    # a no-op view
     enc = (term_col if pa.types.is_dictionary(term_col.type)
            else term_col.dictionary_encode())
     vocab_order = pc.sort_indices(enc.dictionary).to_numpy()

@@ -88,17 +88,21 @@ def doc_shard(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
 def term_shards(terms: pa.Array | pa.ChunkedArray, num_shards: int) -> np.ndarray:
     """``term_shard_one`` for every entry of a (large_)string array.
 
-    Hashes ``bytes`` slices of the Arrow data buffer at the array's
-    offsets, so no Python ``str`` is made per term; the digests are
-    joined and reduced in numpy. Callers pass a vocabulary (unique
-    terms): the cost is one blake2b call per entry."""
+    Hashes slices of one ``bytes`` copy of the array's own byte range
+    (``data[offs[0]:offs[-1]]``, never a slice's whole parent buffer),
+    so no Python ``str`` is made per term; slicing ``bytes`` is cheaper
+    per term than slicing a ``memoryview``. The digests are joined and
+    reduced in numpy. Callers pass a vocabulary (unique terms): the
+    cost is one blake2b call per entry."""
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
     _validity, offsets, data = terms.buffers()
     width = np.int64 if pa.types.is_large_string(terms.type) else np.int32
     offs = np.frombuffer(offsets, dtype=width)[
-        terms.offset:terms.offset + len(terms) + 1].tolist()
-    buf = memoryview(data) if data is not None else b""
+        terms.offset:terms.offset + len(terms) + 1]
+    buf = (bytes(memoryview(data)[int(offs[0]):int(offs[-1])])
+           if data is not None else b"")
+    offs = (offs - offs[0]).tolist()
     blake2b = hashlib.blake2b
     digests = b"".join([blake2b(buf[s:e], digest_size=8).digest()
                         for s, e in zip(offs[:-1], offs[1:])])

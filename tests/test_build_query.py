@@ -383,7 +383,8 @@ def test_grouped_encode_matches_single_shard(built, tmp_path):
     want = {s: _pq.read_table(
         os.path.join(built[1], "segments", f"shard-{s:04d}.parquet"))
         for s in shards}
-    payloads = _ray.get(B._encode_shard_group.remote(index_dir, shards, 128))
+    payloads = _ray.get(B._encode_shard_group.remote(
+        index_dir, shards, 128, CFG.num_term_shards))
     assert [p["part"] for p in payloads] == shards
     for s in shards:
         got = _pq.read_table(

@@ -31,7 +31,7 @@ def docs_dir(tiny_pages, tmp_path_factory):
 
 
 def _snapshot(index_dir):
-    files = sorted(glob.glob(os.path.join(index_dir, "runs", "part=*", "*.parquet")))
+    files = sorted(glob.glob(os.path.join(index_dir, "runs", "part=*", "*.arrow")))
     return {f: (os.path.getmtime(f), os.path.getsize(f)) for f in files}
 
 
@@ -68,9 +68,11 @@ def test_kill_and_resume_equals_clean_run(docs_dir, tmp_path_factory):
 
 
 def test_resume_refuses_older_run_format(docs_dir, tmp_path_factory):
-    """A part committed under an older run format (format 2 wrote its
-    rows through an order-free block write, so phase 2 cannot rely on
-    their ordinal order) is refused on resume, not spliced in."""
+    """A part committed under an older run format is refused on resume,
+    not spliced in: format 2 wrote its rows through an order-free block
+    write, so phase 2 cannot rely on their ordinal order, and format 3
+    wrote parquet run files, which the phase-2 batch read cannot open.
+    Both paths refuse it."""
     idx = str(tmp_path_factory.mktemp("fmt") / "idx")
     fail_cfg = IndexConfig(max_record_bytes=100_000, num_term_shards=8,
                            batch_size=200, fail_after_parts=1)
@@ -78,9 +80,48 @@ def test_resume_refuses_older_run_format(docs_dir, tmp_path_factory):
         B.build_index(docs_dir, idx, fail_cfg)
     man_dir = os.path.join(idx, "manifests")
     old = mf.load(man_dir, "runs-part-0000")
-    mf.commit(man_dir, "runs-part-0000", {**old, "format": 2})
-    with pytest.raises(RuntimeError, match="run format 2"):
-        B.build_index(docs_dir, idx, CFG)
+    assert old["format"] == B.RUN_FORMAT == 4
+    for fmt in (2, 3):
+        mf.commit(man_dir, "runs-part-0000", {**old, "format": fmt})
+        for cfg in (CFG, dataclasses.replace(CFG, inline_build_max_docs=0)):
+            with pytest.raises(RuntimeError, match=f"run format {fmt}"):
+                B.build_index(docs_dir, idx, cfg)
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_resume_refuses_changed_num_term_shards(docs_dir, tmp_path_factory,
+                                                inline):
+    """A run file holds one batch per (chunk, shard) and a segment the
+    terms that hash to it modulo the shard count, so a build resumed
+    under another ``num_term_shards`` is refused, on both paths: with
+    committed run parts (a killed phase 1), and with committed segments
+    only (a killed phase 2 whose run-part manifests were dropped)."""
+    out = tmp_path_factory.mktemp("nshards")
+    idx = str(out / "idx")
+    fail_cfg = IndexConfig(max_record_bytes=100_000, num_term_shards=8,
+                           batch_size=200, fail_after_parts=2)
+    with pytest.raises(B.SimulatedFailure):
+        B.build_index(docs_dir, idx, fail_cfg)
+    man_dir = os.path.join(idx, "manifests")
+    assert {m["num_term_shards"] for m in mf.load_all(
+        man_dir, "runs-part-").values()} == {8}
+    cfg16 = dataclasses.replace(CFG, num_term_shards=16,
+                                inline_build_max_docs=CFG.inline_build_max_docs
+                                if inline else 0)
+    with pytest.raises(RuntimeError, match="num_term_shards 8.*16"):
+        B.build_index(docs_dir, idx, cfg16)
+
+    # a complete build whose run-part and index manifests are dropped,
+    # as after a phase-2 kill: its segment manifests still refuse
+    B.build_index(docs_dir, idx, CFG if inline else
+                  dataclasses.replace(CFG, inline_build_max_docs=0))
+    assert {m["num_term_shards"] for m in mf.load_all(
+        man_dir, "segment-shard-").values()} == {8}
+    for name in [*mf.load_all(man_dir, "runs-part-"), "index"]:
+        os.remove(mf.manifest_path(man_dir, name))
+    with pytest.raises(RuntimeError, match="segment-shard-.*num_term_shards 8"):
+        B.build_index(docs_dir, idx, cfg16)
+    assert not mf.load_all(man_dir, "runs-part-"), "refused before phase 1"
 
 
 def _segment_hashes(index_dir):
@@ -106,7 +147,7 @@ def test_multi_file_parts_run_per_file_and_resume(docs_dir, tmp_path_factory):
     B.build_index(docs_dir, idx, CFG, num_parts=2)
     runs = [os.path.relpath(f, os.path.join(idx, "runs")) for f in B._run_files(idx)]
     assert len(runs) == n_files
-    assert runs[:2] == ["part=0000/run-00000.parquet", "part=0000/run-00001.parquet"]
+    assert runs[:2] == ["part=0000/run-00000.arrow", "part=0000/run-00001.arrow"]
 
     B.build_index(docs_dir, clean, CFG)
     assert _segment_hashes(idx) == _segment_hashes(clean)
@@ -116,14 +157,14 @@ def test_multi_file_parts_run_per_file_and_resume(docs_dir, tmp_path_factory):
 
 def test_run_files_sort_by_part_number(tmp_path):
     runs = tmp_path / "runs"
-    names = ["part=10000/run-00000.parquet", "part=9999/run-00001.parquet",
-             "part=9999/run-00000.parquet", "part=0002/run-00000.parquet"]
+    names = ["part=10000/run-00000.arrow", "part=9999/run-00001.arrow",
+             "part=9999/run-00000.arrow", "part=0002/run-00000.arrow"]
     for rel in names:
         (runs / rel).parent.mkdir(parents=True, exist_ok=True)
         (runs / rel).touch()
     got = [os.path.relpath(f, runs) for f in B._run_files(str(tmp_path))]
-    assert got == ["part=0002/run-00000.parquet", "part=9999/run-00000.parquet",
-                   "part=9999/run-00001.parquet", "part=10000/run-00000.parquet"]
+    assert got == ["part=0002/run-00000.arrow", "part=9999/run-00000.arrow",
+                   "part=9999/run-00001.arrow", "part=10000/run-00000.arrow"]
 
 
 def test_part_names_out_of_string_order(docs_dir, tmp_path_factory, monkeypatch):
