@@ -53,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
     qry.add_argument("--index", required=True)
     qry.add_argument("--query", required=True)
     qry.add_argument("-k", type=int, default=10)
-    qry.add_argument("--strategy", choices=["maxscore", "taat", "bmw"],
+    qry.add_argument("--strategy", choices=["maxscore", "taat"],
                      default="maxscore")
 
     mrg = sub.add_parser("merge", help="merge index generations (upsert by doc_id)")

@@ -40,17 +40,6 @@ def tf_weight(tf: np.ndarray, doclen: np.ndarray, avgdl: float,
                     np.asarray(doclen, dtype=np.float64), avgdl, k1, b)
 
 
-def upper_bound(idf_t: float, max_tf: int, k1: float = K1, b: float = B) -> float:
-    """Block score upper bound from block-max tf.
-
-    tf_weight is increasing in tf and decreasing in doclen; dl→0 gives
-    the supremum ``max_tf*(k1+1)/(max_tf + k1*(1-b))``. Looser than an
-    exact precomputed block-max score but always a valid bound (used by
-    block-max WAND skipping; see stages/segment.py for the metadata).
-    """
-    return idf_t * max_tf * (k1 + 1.0) / (max_tf + k1 * (1.0 - b))
-
-
 def term_bound(n_docs: float, df: float, max_tf: float, dl_min: float,
                avgdl: float, k1: float = K1, b: float = B) -> float:
     """MaxScore bound of one term: ``idf × tf_weight`` at the term's

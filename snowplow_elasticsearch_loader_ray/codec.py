@@ -2,8 +2,9 @@
 
 The reference keeps postings inside Elasticsearch; this codec is the
 from-scratch replacement (SURVEY.md §7 stage 5). Layout goals: fast
-vectorized (numpy) encode/decode, block-granular skipping for block-max
-WAND, and doc_id-ascending order for delta coding.
+vectorized (numpy) encode/decode, block-granular skipping for the
+MaxScore candidate rescore (``decode_for``) and block-max score bounds,
+and doc_id-ascending order for delta coding.
 
 Binary layout (little-endian), one buffer per posting list::
 

@@ -2772,7 +2772,9 @@ SELECT qid::BIGINT AS qid, rank::BIGINT AS rank, doc_id FROM ranked WHERE rank <
 
 
 def bm25_topk_wand(sf_dir: str) -> pa.Table:
-    return _topk_table(sf_dir, "bmw")
+    """The dynamic-pruning top-k entry, served by MaxScore: scores
+    bit-identical to TAAT — same oracle."""
+    return _topk_table(sf_dir, "maxscore")
 
 
 def bm25_topk_maxscore(sf_dir: str) -> pa.Table:

@@ -63,8 +63,10 @@ from ..state import manifest as mf
 from ..tokenizer import doc_shard
 from .build import _footer_counts, _input_files, build_index, index_stats
 from .merge import merge_indexes
-from .query import IndexReader, tokenize_query
-from .servecache import reader_cpus
+from .query import (
+    IndexReader, isin_sorted, score_generation, tokenize_query)
+from .servecache import reader_cpus, stop_actors
+from .sharded_query import ShardReader
 
 
 #: stored-source exchange size, in rows: refresh and compaction split
@@ -598,29 +600,12 @@ class LiveSearcher:
         self.n_docs = int(sum(s["n_docs"] for s in stats))
         tokens = float(sum(s["total_tokens"] for s in stats))
         self.avgdl = (tokens / self.n_docs) if self.n_docs else 1.0
-        # per generation: sorted external ids present in NEWER gens,
-        # plus delete tombstones POSTDATING the generation — the
-        # rank-time suppression set (sized by re-indexed+deleted docs)
-        self._newer_ids: list[np.ndarray] = []
-        newer = np.empty(0, np.int64)
-        for i in range(len(self.readers) - 1, -1, -1):
-            sup = newer
-            if deleted is not None and len(deleted[i]):
-                sup = np.union1d(sup, deleted[i])
-            self._newer_ids.append(sup)
-            newer = np.union1d(newer, self.readers[i].dl_doc_ids)
-        self._newer_ids.reverse()
+        self._newer_ids = _suppression_sets(
+            [r.dl_doc_ids for r in self.readers[1:]], deleted)
 
     def live_doc_count(self) -> int:
-        n = 0
-        for r, newer in zip(self.readers, self._newer_ids):
-            if len(newer):
-                pos = np.searchsorted(newer, r.dl_doc_ids)
-                pos = np.minimum(pos, len(newer) - 1)
-                n += int((newer[pos] != r.dl_doc_ids).sum())
-            else:
-                n += len(r.dl_doc_ids)
-        return n
+        return sum(int((~isin_sorted(sup, r.dl_doc_ids)).sum())
+                   for r, sup in zip(self.readers, self._newer_ids))
 
     def df(self, term: str) -> int:
         return sum(r.df(term) for r in self.readers)
@@ -648,10 +633,7 @@ class LiveSearcher:
             if common is None or not len(common):
                 continue
             ext = r.dl_doc_ids[common]
-            if len(sup):
-                pos = np.minimum(np.searchsorted(sup, ext), len(sup) - 1)
-                ext = ext[sup[pos] != ext]
-            parts.append(ext)
+            parts.append(ext[~isin_sorted(sup, ext)])
         return (np.unique(np.concatenate(parts)) if parts
                 else np.empty(0, np.int64))
 
@@ -665,8 +647,8 @@ class LiveSearcher:
         all_ids: list[np.ndarray] = []
         all_scores: list[np.ndarray] = []
         for r, newer in zip(self.readers, self._newer_ids):
-            ext, sums = _score_generation(r, live, dfs, self.n_docs,
-                                          self.avgdl, newer)
+            ext, sums = score_generation(r, live, dfs, self.n_docs,
+                                         self.avgdl, newer)
             if len(ext):
                 all_ids.append(ext)
                 all_scores.append(sums)
@@ -676,78 +658,34 @@ class LiveSearcher:
                               np.concatenate(all_scores), k)
 
 
-def _score_generation(r: IndexReader, live: list[str], dfs: dict[str, int],
-                      n_docs: int, avgdl: float, sup: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """One generation's (suppressed external ids, summed BM25 scores)
-    under CHAIN stats — the shared scoring kernel of ``LiveSearcher``
-    and the per-generation actor (bit-identity by construction)."""
-    docs_parts: list[np.ndarray] = []
-    score_parts: list[np.ndarray] = []
-    for t in live:                         # sorted-term float order
-        pl = r.postings(t)
-        if pl is None:
-            continue
-        ords, tfs = pl.decode_all()
-        w = bm25.idf(n_docs, dfs[t])
-        score_parts.append(w * bm25.tf_weight(tfs, r.dl_lens[ords], avgdl))
-        docs_parts.append(ords)
-    if not docs_parts:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    docs = np.concatenate(docs_parts)
-    scores = np.concatenate(score_parts)
-    order = np.argsort(docs, kind="stable")
-    docs_s, scores_s = docs[order], scores[order]
-    bounds = np.concatenate(
-        ([0], np.nonzero(docs_s[1:] != docs_s[:-1])[0] + 1))
-    uniq = docs_s[bounds]
-    sums = np.add.reduceat(scores_s, bounds)
-    ext = r.dl_doc_ids[uniq]
-    if len(sup):                           # NRT suppression
-        pos = np.minimum(np.searchsorted(sup, ext), len(sup) - 1)
-        keep = sup[pos] != ext
-        ext, sums = ext[keep], sums[keep]
-    return ext, sums
-
-
-@ray.remote(max_restarts=2, max_task_retries=2)
-class _GenReaderActor:
-    """One generation of the live chain, loaded once and served remote —
-    the distributed-NRT grain: generations (and their memory) spread
-    across the cluster; a crashed actor restarts and reloads its
-    generation from the committed index (same fault story as the
-    sharded BM25 readers)."""
-
-    def __init__(self, gen_dir: str):
-        from .query import IndexReader as _IR
-
-        self.r = _IR(gen_dir)
-
-    def doc_ids(self) -> np.ndarray:
-        return self.r.dl_doc_ids
-
-    def dfs(self, terms: list[str]) -> list[int]:
-        return [self.r.df(t) for t in terms]
-
-    def score(self, live: list[str], dfs: dict[str, int], n_docs: int,
-              avgdl: float, sup: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-        return _score_generation(self.r, live, dfs, n_docs, avgdl, sup)
-
-    def live_count(self, sup: np.ndarray) -> int:
-        ids = self.r.dl_doc_ids
-        if not len(sup):
-            return len(ids)
-        pos = np.minimum(np.searchsorted(sup, ids), len(sup) - 1)
-        return int((sup[pos] != ids).sum())
+def _suppression_sets(newer_ids: list[np.ndarray],
+                      deleted: list[np.ndarray] | None
+                      ) -> list[np.ndarray]:
+    """Per generation, oldest first, its rank-time suppression set:
+    the sorted external ids present in NEWER generations
+    (``newer_ids[i]`` holds generation ``i + 1``'s ids) plus the delete
+    tombstones POSTDATING it — sized by re-indexed and deleted docs."""
+    sups: list[np.ndarray] = []
+    newer = np.empty(0, np.int64)
+    for i in range(len(newer_ids), -1, -1):
+        sup = newer
+        if deleted is not None and len(deleted[i]):
+            sup = np.union1d(sup, deleted[i])
+        sups.append(sup)
+        if i:
+            newer = np.union1d(newer, newer_ids[i - 1])
+    return sups[::-1]
 
 
 class ShardedLiveSearcher:
     """Distributed NRT serving: ``LiveSearcher`` semantics with one
-    reader ACTOR per generation — scatter the chain-stats query, gather
-    per-generation suppressed candidates, rank on the coordinator.
-    Results are BIT-identical to ``LiveSearcher`` (same per-generation
-    kernel, same gather order).
+    reader ACTOR per generation — the sharded plane's
+    ``sharded_query.ShardReader`` over every shard of the generation,
+    so the same ``IndexReader`` as ``LiveSearcher``'s — scatter the
+    chain-stats query, gather per-generation suppressed candidates,
+    rank on the coordinator. Results are BIT-identical to
+    ``LiveSearcher`` (same per-generation kernel,
+    ``query.score_generation``, same gather order).
 
     Scale shape: the BASE generation is the big one, and its doc-id
     array never leaves its actor — suppression sets contain only
@@ -762,27 +700,16 @@ class ShardedLiveSearcher:
                  deleted: list[np.ndarray] | None = None):
         cpus = reader_cpus(len(gen_dirs),
                            ray.cluster_resources().get("CPU", 1.0))
-        self.actors = [_GenReaderActor.options(num_cpus=cpus).remote(d)
+        self.actors = [ShardReader.options(num_cpus=cpus).remote(d)
                        for d in gen_dirs]
         stats = [index_stats(d) for d in gen_dirs]
         self.n_docs = int(sum(s["n_docs"] for s in stats))
         tokens = float(sum(s["total_tokens"] for s in stats))
         self.avgdl = (tokens / self.n_docs) if self.n_docs else 1.0
-        n = len(gen_dirs)
         # ids pulled ONLY for non-oldest generations (the deltas): the
         # base generation's ids never appear in any suppression set
-        delta_ids = ray.get([self.actors[i].doc_ids.remote()
-                             for i in range(1, n)])
-        self._sup: list[np.ndarray] = []
-        newer = np.empty(0, np.int64)
-        for i in range(n - 1, -1, -1):
-            sup = newer
-            if deleted is not None and len(deleted[i]):
-                sup = np.union1d(sup, deleted[i])
-            self._sup.append(sup)
-            if i:
-                newer = np.union1d(newer, delta_ids[i - 1])
-        self._sup.reverse()
+        self._sup = _suppression_sets(
+            ray.get([a.doc_ids.remote() for a in self.actors[1:]]), deleted)
 
     def df(self, term: str) -> int:
         per_gen = ray.get([a.dfs.remote([term]) for a in self.actors])
@@ -803,7 +730,8 @@ class ShardedLiveSearcher:
         live = [t for t in terms if dfs[t] > 0]
         if not live:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        parts = ray.get([a.score.remote(live, dfs, self.n_docs, self.avgdl, s)
+        parts = ray.get([a.score_generation.remote(live, dfs, self.n_docs,
+                                                   self.avgdl, s)
                          for a, s in zip(self.actors, self._sup)])
         all_ids = [p[0] for p in parts if len(p[0])]
         all_scores = [p[1] for p in parts if len(p[1])]
@@ -813,6 +741,5 @@ class ShardedLiveSearcher:
                               np.concatenate(all_scores), k)
 
     def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
+        stop_actors(self.actors)
         self.actors = []

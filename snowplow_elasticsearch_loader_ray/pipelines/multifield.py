@@ -224,7 +224,7 @@ def combined_fields_scores(readers: dict[str, IndexReader], query: str,
             if pl is None:
                 continue
             docs, tfs = pl.decode_all()
-            tfc[r.positions_of(t, docs)] += boost * tfs
+            tfc[docs] += boost * tfs
             hit = True
         if not hit:
             continue

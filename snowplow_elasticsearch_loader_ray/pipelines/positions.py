@@ -47,7 +47,7 @@ from ..config import IndexConfig, DEFAULT_CONFIG
 from ..state import manifest as mf
 from ..tokenizer import term_shard_one, term_shards, tokenize_to_terms
 from .build import _input_files
-from .servecache import group_by_reader, reader_pool
+from .servecache import group_by_reader, reader_pool, stop_actors
 
 POSITIONS_SCHEMA = pa.schema([
     ("term", pa.string()),
@@ -389,8 +389,7 @@ class ShardedPositionalEngine:
         return self.term_positions_many([term])[term]
 
     def shutdown(self) -> None:
-        for r in self.readers:
-            ray.kill(r)
+        stop_actors(self.readers)
         self.readers = []
 
 

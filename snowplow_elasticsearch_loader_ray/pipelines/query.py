@@ -5,8 +5,8 @@ polling ES ``_search`` and reading ranked hits
 (``TestHelpers.scala:157-201``, SURVEY.md Q1) — except the relevance
 engine ES provided is implemented here from scratch.
 
-Three execution strategies over the same segments, tested
-rank-identical:
+Two execution strategies over the same segments, tested
+bit-identical:
 
 - ``score_maxscore`` (the serving default): vectorized MaxScore. Each
   term has an upper bound on its partials, ``idf × tf_weight`` at its
@@ -19,8 +19,6 @@ rank-identical:
 - ``score_taat``: term-at-a-time scoring with numpy over fully decoded
   posting lists — what MaxScore falls back to when no term can bound
   the others out.
-- ``score_bmw``: document-at-a-time block-max WAND, a per-document
-  Python loop kept to pin WAND's semantics, not to serve.
 
 Determinism: terms are summed in sorted order on every path, so
 per-doc float summation order is identical; ranking is by
@@ -28,10 +26,16 @@ per-doc float summation order is identical; ranking is by
 the rows near the k-th raw score before it rounds or gathers external
 ids (``bm25.rank_topk``).
 
+One segment reader: ``IndexReader`` is the only code that turns
+segment files into a term → (df, postings) map and scored lists. The
+single-process engine holds one over the whole index; each reader
+actor of the sharded plane holds one over some term shards and one
+ordinal stripe (``shards``, ``doc_part``/``n_doc_parts``), and so does
+each generation actor of the live chain's sharded searcher.
+
 Scored lists: BM25 scorers (TAAT, MaxScore, dis_max) take each term's
 (ordinals, partials) from ``IndexReader.scored``, which looks in three
-layers, the same ones the sharded plane's ``ShardReader`` has: the
-short table, where every one-block list (most of a vocabulary) is
+layers: the short table, where every one-block list (most of a vocabulary) is
 decoded and weighed in one batched pass on the reader's first lookup
 (``servecache.ShortLists``); then the bounded LRU of longer lists
 (``servecache.scored_lru``); then a decode + weigh that fills the LRU
@@ -50,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import glob
-import heapq
 import os
 import re
 
@@ -59,9 +62,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import bm25
-from ..codec import PostingList
+from ..codec import PostingList, binary_views, decode_postings_batch
 from ..config import DOCLEN_TERM
 from ..pipelines.build import index_stats
+from ..stages.segment import segment_table
 from .servecache import (
     ShortLists, bm25_partials, scored_list, scored_lru, scores_at)
 
@@ -73,44 +77,72 @@ def tokenize_query(q: str) -> list[str]:
     return sorted(set(_TOKEN_RE.findall(q.lower())))
 
 
+def _stripe(seg: pa.Table, doc_part: int, n_doc_parts: int,
+            block_size: int) -> pa.Table:
+    """A segment's rows restricted to the docs with ``ord % n_doc_parts
+    == doc_part``: the whole shard in one batched decode, masked, and
+    re-encoded by ``segment.segment_table``. Terms with no posting in
+    the stripe drop out; ``df`` stays the index-wide column."""
+    starts, docs, tfs = decode_postings_batch(seg["postings"],
+                                              np.arange(seg.num_rows))
+    mask = docs % n_doc_parts == doc_part
+    kept = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=kept[1:])
+    lo, hi = kept[starts[:-1]], kept[starts[1:]]
+    rows = np.flatnonzero(hi > lo)
+    names = seg["term"].to_pylist()
+    out = segment_table([names[r] for r in rows], docs[mask], tfs[mask],
+                        lo[rows], hi[rows], block_size)
+    return out.set_column(1, "df", seg["df"].take(rows))
+
+
 class IndexReader:
-    """In-memory view over an index directory's segments + docmap.
+    """In-memory view over an index directory's segments + docmap: the
+    one segment reader under every plane. ``QueryEngine`` holds one over
+    the whole index, and each reader actor of the sharded plane and of
+    the live chain's sharded searcher holds one over its part
+    (``sharded_query.ShardReader``).
 
     Postings decode to dense doc ORDINALS (see stages/postings.py): the
     ordinal IS the score-accumulator position, so scoring does no
     binary search, and ``dl_doc_ids[ord]`` / ``dl_lens[ord]`` give the
-    external doc_id / doclen directly. At sandbox scale the whole term
-    dictionary and encoded postings fit in one process; at 1e12-doc
-    scale this object would hold one term shard per reader actor (terms
-    route by ``term_shard_one``) with postings mmap'd — the layout
-    (per-shard segment files, ordinal-range docmap parts) is already
-    partitioned for that, and the sharded plane's ``ShardReader`` is
-    that actor.
+    external doc_id / doclen directly.
 
-    Like a ``ShardReader`` that owned every shard, it scores lists
-    (``scored``: term → ordinals + BM25 partials under this index's
-    stats) from two places: every one-block list, scored in one batched
-    pass on the first lookup (``servecache.ShortLists``), and an LRU of
-    longer lists, bounded at ``GRAFT_SHARD_HOT_POSTINGS`` decoded
-    postings per term shard.
+    ``shards`` restricts the reader to those term shards' segment files
+    (default: every segment file), and ``doc_part`` of ``n_doc_parts``
+    to the docs with ``ord % n_doc_parts == doc_part``: each shard is
+    decoded once at load, masked to the stripe and re-encoded
+    (``_stripe``). The docmap, the stats and each term's ``df`` stay
+    index-wide, so a stripe's partials are the whole reader's partials
+    at the stripe's docs, bit for bit; ``cf`` is the stripe's.
+
+    It scores lists (``scored``: term → ordinals + BM25 partials under
+    this index's stats) from two places: every one-block list, scored
+    in one batched pass on the first lookup (``servecache.ShortLists``),
+    and an LRU of longer lists, bounded at ``GRAFT_SHARD_HOT_POSTINGS``
+    decoded postings per segment file.
 
     ``terms`` maps a term to ``(df, cf, postings, bound)``; the bound
     field is None until ``bound(term)`` first computes it.
     """
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dir: str, shards: list[int] | None = None,
+                 doc_part: int = 0, n_doc_parts: int = 1):
         self.index_dir = index_dir
         st = index_stats(index_dir)
         self.n_docs = int(st["n_docs"])
         self.avgdl = float(st["avgdl"]) if st["avgdl"] else 1.0
         self.terms: dict[str, tuple[int, int, bytes, float | None]] = {}
-        from ..codec import binary_views
-
-        segments = sorted(glob.glob(os.path.join(index_dir, "segments",
-                                                 "*.parquet")))
+        seg_dir = os.path.join(index_dir, "segments")
+        self.segments = (
+            sorted(glob.glob(os.path.join(seg_dir, "*.parquet")))
+            if shards is None else
+            [os.path.join(seg_dir, f"shard-{s:04d}.parquet") for s in shards])
         self._columns = []               # (terms, dfs, postings) per segment
-        for f in segments:
+        for f in self.segments:
             t = pq.read_table(f)
+            if n_doc_parts > 1:
+                t = _stripe(t, doc_part, n_doc_parts, int(st["block_size"]))
             names = t["term"].to_pylist()
             self._columns.append((names, t["df"].to_numpy(), t["postings"]))
             # postings stay zero-copy views over the Arrow data buffer
@@ -129,11 +161,13 @@ class IndexReader:
         self.dl_min = float(self.dl_lens.min()) if len(self.dl_lens) else 1.0
         self._ext_sorted: np.ndarray | None = None
         self._ext_order: np.ndarray | None = None
+        # the per-query score accumulator (``acc_buffer``); untouched
+        # zero pages cost no memory in a reader that never accumulates
+        self._acc = np.zeros(len(self.dl_doc_ids), dtype=np.float64)
         # scored-list cache for the lists of several blocks: term →
         # (ordinals, BM25 partials) under THIS index's stats, capped
-        # per term shard (one segment file each) exactly like a pool
-        # actor that owned every shard
-        self._scored = scored_lru(len(segments))
+        # per segment file
+        self._scored = scored_lru(len(self.segments))
 
     @functools.cached_property
     def _short(self) -> ShortLists:
@@ -163,21 +197,39 @@ class IndexReader:
                                                   e[0]))
 
     def bound(self, term: str) -> float:
-        """The term's MaxScore bound (``bm25.term_bound`` at its largest
-        block-max tf and this index's smallest doclen), ≥ each of its
-        partials. Computed on first use and kept in the term's entry:
-        it never changes for an index. ``term`` must be in ``terms``."""
+        """The term's MaxScore bound (``bm25.term_bound`` at its
+        index-wide df, its largest block-max tf here and the index's
+        smallest doclen), ≥ each of its partials. Computed on first use
+        and kept in the term's entry: it never changes for an index.
+        ``term`` must be in ``terms``."""
         e = self.terms[term]
         if e[3] is None:
             pl = PostingList(e[2])
             max_tf = int(pl.max_tf.max()) if pl.n_blocks else 0
             e = self.terms[term] = e[:3] + (bm25.term_bound(
-                self.n_docs, pl.n, max_tf, self.dl_min, self.avgdl),)
+                self.n_docs, e[0], max_tf, self.dl_min, self.avgdl),)
         return e[3]
 
     def cached(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
         """``scored(term)`` if it is scored already, else None — no decode."""
         return self._short.get(term) or self._scored.get(term)
+
+    def partials_at(self, term: str, cand: np.ndarray,
+                    scored: tuple[np.ndarray, np.ndarray] | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The term's (ordinals, partials) at the candidates ``cand``
+        (ascending) — a MaxScore rescore. A scored list at hand
+        (``scored``, or one this reader caches) gives them by
+        intersect; otherwise only the posting blocks that hold
+        candidates decode (``PostingList.decode_for``). None for an
+        unknown term."""
+        hit = scored or self.cached(term)
+        if hit is not None:
+            return scores_at(*hit, cand)
+        if (e := self.terms.get(term)) is None:
+            return None
+        docs, tfs = PostingList(e[2]).decode_for(cand)
+        return docs, bm25_partials(self, e[0], docs, tfs)
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """The one-block table's terms, postings and bytes, and the
@@ -218,21 +270,8 @@ class IndexReader:
 
     def acc_buffer(self) -> np.ndarray:
         """Zeroed per-partition score accumulator (reused across queries)."""
-        buf = getattr(self, "_acc", None)
-        if buf is None or len(buf) != len(self.dl_doc_ids):
-            buf = self._acc = np.zeros(len(self.dl_doc_ids), dtype=np.float64)
-        else:
-            buf.fill(0.0)
-        return buf
-
-    def positions_of(self, term: str, docs: np.ndarray) -> np.ndarray:
-        """Accumulator positions of a term's decoded postings.
-
-        With ordinal doc keys the posting value IS the position — the
-        per-term binary search (and the position LRU cache that amortized
-        it) is gone; this is now an identity kept for the call-site
-        contract (a doc-partitioned reader would subtract its base)."""
-        return docs
+        self._acc.fill(0.0)
+        return self._acc
 
     def postings(self, term: str) -> PostingList | None:
         e = self.terms.get(term)
@@ -255,6 +294,39 @@ class IndexReader:
             "df": pa.array([e[0] for _, e in items], type=pa.int64()),
             "cf": pa.array([e[1] for _, e in items], type=pa.int64()),
         })
+
+
+def score_generation(r: IndexReader, live: list[str], dfs: dict[str, int],
+                     n_docs: int, avgdl: float, sup: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """One live-chain generation's (external ids, summed BM25 scores)
+    under the CHAIN's stats, without the ids in ``sup`` (sorted: the
+    NRT suppression set) — the one scoring kernel of ``LiveSearcher``
+    and of ``ShardedLiveSearcher``'s generation actors (bit-identity by
+    construction). Lists decode from ``postings``: ``scored`` holds
+    partials under the generation's own stats."""
+    docs_parts: list[np.ndarray] = []
+    score_parts: list[np.ndarray] = []
+    for t in live:                         # sorted-term float order
+        pl = r.postings(t)
+        if pl is None:
+            continue
+        ords, tfs = pl.decode_all()
+        w = bm25.idf(n_docs, dfs[t])
+        score_parts.append(w * bm25.tf_weight(tfs, r.dl_lens[ords], avgdl))
+        docs_parts.append(ords)
+    if not docs_parts:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    docs = np.concatenate(docs_parts)
+    scores = np.concatenate(score_parts)
+    order = np.argsort(docs, kind="stable")
+    docs_s, scores_s = docs[order], scores[order]
+    bounds = np.concatenate(
+        ([0], np.nonzero(docs_s[1:] != docs_s[:-1])[0] + 1))
+    sums = np.add.reduceat(scores_s, bounds)
+    ext = r.dl_doc_ids[docs_s[bounds]]
+    keep = ~isin_sorted(sup, ext)          # NRT suppression
+    return ext[keep], sums[keep]
 
 
 # --------------------------------------------------------------------------
@@ -365,8 +437,7 @@ def score_text_expansion(reader: IndexReader, weights: dict[str, int],
             continue
         matched = True
         docs, tfs = pl.decode_all()
-        pos = reader.positions_of(t, docs)
-        acc[pos] += int(weights[t]) * tfs.astype(np.int64)
+        acc[docs] += int(weights[t]) * tfs.astype(np.int64)
     if not matched:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     cand = np.nonzero(acc)[0]
@@ -391,8 +462,7 @@ def score_boosting(reader: IndexReader, positive: str, negative: str,
         pl = reader.postings(t)
         if pl is None:
             continue
-        neg = np.sort(reader.positions_of(t, pl.decode_all()[0]))
-        demoted |= isin_sorted(neg, ords)
+        demoted |= isin_sorted(pl.decode_all()[0], ords)
     scores = np.where(demoted, scores * negative_boost, scores)
     return bm25.rank_topk(reader.dl_doc_ids[ords], scores, k)
 
@@ -520,13 +590,7 @@ def score_maxscore(reader: IndexReader, query: str, k: int = 10,
     # its blocks that hold candidates
     cand_scores = np.zeros(len(cand), dtype=np.float64)
     for t in terms:
-        hit = lists.get(t) or reader.cached(t)
-        if hit is not None:
-            docs, part = scores_at(*hit, cand)
-        else:
-            pl = reader.postings(t)
-            docs, tfs = pl.decode_for(cand)
-            part = bm25_partials(reader, pl.n, docs, tfs)
+        docs, part = reader.partials_at(t, cand, lists.get(t))
         if not len(docs):
             continue
         cand_scores[np.searchsorted(cand, docs)] += part
@@ -951,14 +1015,13 @@ def score_taat_filtered(reader: IndexReader, query: str, filter_term: str,
             continue
         matched = True
         docs, tfs = pl.decode_all()
-        pos = reader.positions_of(t, docs)
         w = bm25.idf(reader.n_docs, len(docs))
-        acc[pos] += w * bm25.tf_weight(tfs, reader.dl_lens[pos], reader.avgdl)
+        acc[docs] += w * bm25.tf_weight(tfs, reader.dl_lens[docs],
+                                        reader.avgdl)
     if not matched:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     fdocs = fpl.decode_all()[0]
-    fpos = reader.positions_of(filter_term, fdocs)
-    cand = fpos[acc[fpos] != 0.0]
+    cand = fdocs[acc[fdocs] != 0.0]
     return bm25.rank_topk(reader.dl_doc_ids[cand], acc[cand], k)
 
 
@@ -1307,10 +1370,10 @@ def score_min_should_match(reader: IndexReader, query: str, m: int,
         if pl is None:
             continue
         docs, tfs = pl.decode_all()
-        pos = reader.positions_of(t, docs)
         w = bm25.idf(reader.n_docs, len(docs))
-        acc[pos] += w * bm25.tf_weight(tfs, reader.dl_lens[pos], reader.avgdl)
-        cnt[pos] += 1
+        acc[docs] += w * bm25.tf_weight(tfs, reader.dl_lens[docs],
+                                        reader.avgdl)
+        cnt[docs] += 1
     cand = np.nonzero(cnt >= m)[0]
     if not len(cand):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
@@ -1336,10 +1399,10 @@ def score_terms_set(reader: IndexReader, query: str, k: int = 10,
         if pl is None:
             continue
         docs, tfs = pl.decode_all()
-        pos = reader.positions_of(t, docs)
         w = bm25.idf(reader.n_docs, len(docs))
-        acc[pos] += w * bm25.tf_weight(tfs, reader.dl_lens[pos], reader.avgdl)
-        cnt[pos] += 1
+        acc[docs] += w * bm25.tf_weight(tfs, reader.dl_lens[docs],
+                                        reader.avgdl)
+        cnt[docs] += 1
     need = np.minimum(len(terms),
                       1 + reader.dl_lens.astype(np.int64) // m_div)
     cand = np.nonzero(cnt >= need)[0]
@@ -1379,171 +1442,6 @@ def rescore_topk(reader: IndexReader, pos_reader, query: str,
 
 
 # --------------------------------------------------------------------------
-# block-max WAND (document-at-a-time with block skipping)
-# --------------------------------------------------------------------------
-
-class _Cursor:
-    __slots__ = ("term", "pl", "idf", "ub", "bi", "docs", "tfs", "pos", "cur")
-
-    def __init__(self, term: str, pl: PostingList, idf_t: float):
-        self.term = term
-        self.pl = pl
-        self.idf = idf_t
-        self.ub = bm25.upper_bound(idf_t, int(pl.max_tf.max()))
-        self.bi = -1
-        self.docs = self.tfs = None
-        self.pos = 0
-        self.cur = -1
-        self._load_block(0)
-
-    def _load_block(self, bi: int) -> None:
-        if bi >= self.pl.n_blocks:
-            self.cur = np.iinfo(np.int64).max
-            return
-        self.bi = bi
-        self.docs, self.tfs = self.pl.decode_block(bi)
-        self.pos = 0
-        self.cur = int(self.docs[0])
-
-    def block_ub(self) -> float:
-        if self.bi >= self.pl.n_blocks:
-            return 0.0
-        return bm25.upper_bound(self.idf, int(self.pl.max_tf[self.bi]))
-
-    def next_geq(self, target: int) -> None:
-        if self.cur >= target:
-            return
-        if self.bi >= self.pl.n_blocks or target > self.pl.last_doc[self.bi]:
-            bi = self.pl.first_block_geq(target)
-            if bi >= self.pl.n_blocks:
-                self.cur = np.iinfo(np.int64).max
-                self.bi = self.pl.n_blocks
-                return
-            if bi != self.bi:
-                self._load_block(bi)
-        self.pos += int(np.searchsorted(self.docs[self.pos:], target))
-        self.cur = int(self.docs[self.pos])
-
-    def advance(self) -> None:
-        self.pos += 1
-        if self.pos >= len(self.docs):
-            self._load_block(self.bi + 1)
-        else:
-            self.cur = int(self.docs[self.pos])
-
-    def tf(self) -> int:
-        return int(self.tfs[self.pos])
-
-
-_MAXDOC = np.iinfo(np.int64).max
-
-
-def score_bmw(reader: IndexReader, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k via block-max WAND; rank-identical to score_taat by contract.
-
-    Performance honesty (measured, BASELINE.md): this is the SKIPPING
-    ALGORITHM realized faithfully (pivoting, block-max refinement,
-    block-boundary jumps), but its per-document Python cursor loop
-    loses to the vectorized TAAT path by ~50× at 10^6 docs (p50 ~1 s vs
-    ~20 ms) — document-at-a-time traversal needs compiled code to win,
-    and this sandbox has no numba/C toolchain. It exists to pin WAND's
-    semantics (`test_bmw_matches_taat`) and to document where the
-    compiled kernel plugs in; the serving latency paths at scale are
-    vectorized TAAT with the accumulator divided across doc-partitioned
-    readers (grid), plus the BMW block-max metadata already in the
-    codec for when a compiled kernel lands."""
-    terms = tokenize_query(query)
-    cursors: list[_Cursor] = []
-    for t in terms:
-        pl = reader.postings(t)
-        if pl is not None and pl.n:
-            cursors.append(_Cursor(t, pl, bm25.idf(reader.n_docs, pl.n)))
-    if not cursors:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-
-    # fixed scoring order = sorted term order (same as TAAT)
-    heap: list[tuple[float, int]] = []   # (score, -doc_id) min-heap of top-k
-    theta = -np.inf
-    while True:
-        live = sorted((c for c in cursors if c.cur != _MAXDOC), key=lambda c: c.cur)
-        if not live:
-            break
-        # pivot: smallest doc where the prefix upper-bound sum can beat theta
-        acc_ub = 0.0
-        pivot = None
-        for c in live:
-            acc_ub += c.ub
-            # margin mirrors score_maxscore's _PRUNE_MARGIN: theta is
-            # the kth ROUNDED score, so a doc whose raw score rounds
-            # INTO the kth tie class (within 0.5e-7 below theta) must
-            # still be scored — its smaller doc_id can win the tie
-            if acc_ub > theta - _PRUNE_MARGIN or len(heap) < k:
-                pivot = c.cur
-                break
-        if pivot is None:
-            break
-        # block-max refinement: sum of block UBs at the pivot
-        block_ub = 0.0
-        for c in live:
-            if c.cur > pivot:
-                break
-            c_bi = c.pl.first_block_geq(pivot)
-            if c_bi < c.pl.n_blocks:
-                block_ub += bm25.upper_bound(c.idf, int(c.pl.max_tf[c_bi]))
-        if len(heap) >= k and block_ub <= theta - _PRUNE_MARGIN:
-            # skip: advance cursors at/before the pivot past the nearest
-            # block boundary — capped by the first cursor beyond the
-            # pivot (its ub wasn't counted in block_ub, so docs at or
-            # after its position must be re-evaluated)
-            nxt = _MAXDOC
-            for c in live:
-                if c.cur > pivot:
-                    nxt = min(nxt, c.cur)
-                    break
-                bi = c.pl.first_block_geq(pivot)
-                if bi < c.pl.n_blocks:
-                    nxt = min(nxt, int(c.pl.last_doc[bi]) + 1)
-            for c in live:
-                if c.cur <= pivot:
-                    c.next_geq(nxt)
-            continue
-        # align all cursors <= pivot onto pivot and score it
-        for c in live:
-            if c.cur < pivot:
-                c.next_geq(pivot)
-        score = 0.0
-        dl = float(reader.dl_lens[pivot])        # pivot IS the ordinal
-        for c in cursors:           # fixed (sorted-term) order for determinism
-            if c.cur == pivot:
-                score += c.idf * float(bm25.tf_weight(
-                    np.float64(c.tf()), np.float64(dl), reader.avgdl))
-        for c in cursors:
-            if c.cur == pivot:
-                c.advance()
-        # heap entries use the ROUNDED score and the EXTERNAL doc_id so
-        # eviction ties break exactly as rank_topk does in TAAT
-        # (rank-identity contract); the rounded theta is <= the raw
-        # one, so pruning with it only admits more candidates — never
-        # unsafe.
-        # np.round, not Python round(): rank_topk rounds with
-        # np.round and the two can disagree by 1 ulp at .5
-        # boundaries — identical rounding keeps scores bit-equal
-        entry = (float(np.round(score, bm25.SCORE_ROUND)),
-                 -int(reader.dl_doc_ids[pivot]))
-        if len(heap) < k:
-            heapq.heappush(heap, entry)
-        elif entry > heap[0]:
-            heapq.heapreplace(heap, entry)
-        if len(heap) >= k:
-            theta = heap[0][0]
-
-    out = sorted(heap, key=lambda e: (-e[0], -e[1]))
-    docs = np.array([-nd for _, nd in out], dtype=np.int64)
-    scores = np.array([s for s, _ in out], dtype=np.float64)
-    return docs, scores
-
-
-# --------------------------------------------------------------------------
 # batch query surface
 # --------------------------------------------------------------------------
 
@@ -1555,15 +1453,13 @@ class QueryEngine:
     actor-pool analogue of ``uploadParallelism``).
     """
 
-    _STRATEGIES = {"taat": score_taat, "maxscore": score_maxscore,
-                   "bmw": score_bmw}
+    _STRATEGIES = {"taat": score_taat, "maxscore": score_maxscore}
 
     def __init__(self, index_dir: str, strategy: str = "maxscore"):
         from ..health import HealthMonitor
 
         if strategy not in self._STRATEGIES:
-            # a typo must not silently serve the ~50x-slower BMW
-            # algorithm-spec path
+            # a typo must not silently serve another strategy
             raise ValueError(
                 f"unknown strategy {strategy!r} — one of "
                 f"{sorted(self._STRATEGIES)}")

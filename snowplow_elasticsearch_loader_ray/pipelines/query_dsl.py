@@ -100,7 +100,7 @@ def _term_ords(reader: IndexReader, term: str) -> np.ndarray:
     if pl is None:
         return np.empty(0, dtype=np.int64)
     docs = pl.decode_all()[0]
-    return np.sort(reader.positions_of(term, docs))
+    return np.sort(docs)
 
 
 def _rank_feature_params(clause: dict) -> tuple[float, float]:

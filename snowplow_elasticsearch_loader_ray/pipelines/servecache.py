@@ -8,12 +8,12 @@ float64 partials cost 16 B/posting) and evicts least-recently-USED,
 not first-inserted: under a Zipf query mix the hot head term must
 survive a stream of cold one-off terms.
 
-A reader finds a term's scored list in three layers: the short table
+A reader (``query.IndexReader``, in-process or inside a reader actor)
+finds a term's scored list in three layers: the short table
 (``ShortLists``: every one-block list, decoded and weighed in one
-batched pass — by a ``ShardReader`` at load, by an ``IndexReader`` on
-its first lookup — so a cold tail term costs a lookup), then the
-LRU of longer lists (``scored_lru``), then a decode + weigh that fills
-the LRU (``scored_list``). Every layer computes the same floats
+batched pass on the reader's first lookup, so a cold tail term costs
+a lookup), then the LRU of longer lists (``scored_lru``), then a
+decode + weigh that fills the LRU (``scored_list``). Every layer computes the same floats
 (``bm25_partials``'s operations).
 """
 
@@ -112,13 +112,14 @@ class ShortLists:
     weighed in one pass: term → (ordinals, partials) as two slices of flat,
     read-only arrays, the same floats ``scored_list`` computes.
 
-    ``segments`` yields ``(terms, dfs, postings)`` per segment file: its
-    term strings, their index-wide dfs (a doc-stripe reader's lists are
-    shorter than their df) and its ``postings`` column. One
-    ``decode_postings_batch`` per segment decodes the rows
-    ``codec.one_block_rows`` picks, and one pass weighs them all: each
-    distinct df gets its idf from the scalar ``bm25.idf`` (in a whole
-    index a one-block list's df is its length, so at most
+    ``reader`` is the ``query.IndexReader`` that builds the table on its
+    first lookup, and ``segments`` yields ``(terms, dfs, postings)`` per
+    segment file it loaded: its term strings, their index-wide dfs (a
+    doc-stripe reader's lists are shorter than their df) and its
+    ``postings`` column. One ``decode_postings_batch`` per segment
+    decodes the rows ``codec.one_block_rows`` picks, and one pass weighs
+    them all: each distinct df gets its idf from the scalar ``bm25.idf``
+    (in a whole index a one-block list's df is its length, so at most
     ``block_size`` values), and the partials are then
     ``idf × tf_weight`` over the flat arrays, the same IEEE operations
     per posting as ``bm25_partials``. Memory is 16 B per posting, at
@@ -210,6 +211,19 @@ def reader_pool(num_shards: int, cluster_cpus: float
     n = max(1, min(num_shards, int(cluster_cpus)))
     return ([list(range(a, num_shards, n)) for a in range(n)],
             reader_cpus(n, cluster_cpus))
+
+
+def stop_actors(actors) -> None:
+    """End serving actors for good. ``ray.kill`` alone races the
+    caller's next call: one sent right after it can still run on the
+    actor. A termination task queues behind every call already sent,
+    so no later call can run; the kill then ends an actor stuck in a
+    call."""
+    import ray
+
+    for a in actors:
+        a.__ray_terminate__.remote()
+        ray.kill(a)
 
 
 def group_by_reader(terms, num_shards: int, n_readers: int

@@ -1,14 +1,16 @@
 """Scatter-gather BM25 serving over pools of reader actors.
 
-The scale path for query serving (the single-process ``IndexReader``
-notes this design in its docstring). The corpus is cut two ways: terms
+The scale path for query serving. The corpus is cut two ways: terms
 into the index's term shards, docs into ``n_doc_parts`` ordinal
 stripes. Each stripe has its own pool of reader actors, one per CPU
 and at most one per shard (``servecache.reader_pool``): actor ``a`` of
-``n`` owns term shards ``a, a+n, …`` restricted to its stripe, and
-loads ONLY those postings plus the (small relative to postings) global
-doclen/stats tables, once. A query's terms scatter to the actors that
-own them in every stripe (``servecache.group_by_reader``: the build's
+``n`` owns term shards ``a, a+n, …`` restricted to its stripe. A
+reader actor (``ShardReader``) is the single-process ``IndexReader``
+in an actor, built over just those shards and that stripe: it loads
+ONLY those postings plus the (small relative to postings) global
+doclen/stats tables, once, and scores them the way the single reader
+does. A query's terms scatter to the actors that own them in every
+stripe (``servecache.group_by_reader``: the build's
 shard routing, then shard → actor), one RPC per actor touched; each
 actor returns its stripe's slice of partial per-doc scores for its
 terms, and the coordinator combines the slices and ranks. With one
@@ -28,13 +30,14 @@ Partitioning assumptions (documented per SURVEY.md custom-op rule):
   term sets are disjoint across shards, so an actor keys the postings
   of all its shards by term in one dict;
 - docs route by ORDINAL STRIPE (``ord % n_doc_parts``). Any modulus
-  works, because a reader restricts its shards at load: one batched
-  decode per shard, masked to the stripe and re-encoded with the
-  segment writer's kernel, so a reader holds its stripe encoded (2.7
-  B/posting at P = 3 on a 55k-doc synthetic index, where decoded arrays
-  take 12). With one stripe the segments load as written. A
-  production layout would instead use the docmap parts' contiguous
-  ordinal RANGES, so each reader opened only its range's docmap files;
+  works, because a reader restricts its shards at load
+  (``query._stripe``): one batched decode per shard, masked to the
+  stripe and re-encoded with the segment writer's kernel, so a reader
+  holds its stripe encoded (2.7 B/posting at P = 3 on a 55k-doc
+  synthetic index, where decoded arrays take 12). With one stripe the
+  segments load as written. A production layout would instead use the
+  docmap parts' contiguous ordinal RANGES, so each reader opened only
+  its range's docmap files;
 - BM25 idf uses the GLOBAL df (the segment's ``df`` column), never a
   stripe's list length, and a term's MaxScore bound uses the largest
   of its stripes' max tfs;
@@ -48,25 +51,17 @@ Partitioning assumptions (documented per SURVEY.md custom-op rule):
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
 from .. import bm25
-from ..codec import PostingList, binary_views, decode_postings_batch
-from ..config import DOCLEN_TERM
-from ..stages.segment import segment_table
 from .build import index_stats, load_docmap
-from .query import tokenize_query
+from .query import IndexReader, isin_sorted, score_generation, tokenize_query
 from .servecache import (
     CappedLRU,
     RequestCache,
-    ShortLists,
-    bm25_partials,
     champion_topk,
     dense_combine,
     fused_combine_rank,
@@ -74,29 +69,10 @@ from .servecache import (
     group_by_reader,
     reader_cpus,
     reader_pool,
-    scored_list,
     scored_lru,
     scores_at,
+    stop_actors,
 )
-
-
-def _stripe(seg: pa.Table, doc_part: int, n_doc_parts: int,
-            block_size: int) -> pa.Table:
-    """A segment's rows restricted to the docs with ``ord % n_doc_parts
-    == doc_part``: the whole shard in one batched decode, masked, and
-    re-encoded by ``segment.segment_table``. Terms with no posting in
-    the stripe drop out; ``df`` stays the index-wide column."""
-    starts, docs, tfs = decode_postings_batch(seg["postings"],
-                                              np.arange(seg.num_rows))
-    mask = docs % n_doc_parts == doc_part
-    kept = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(mask, out=kept[1:])
-    lo, hi = kept[starts[:-1]], kept[starts[1:]]
-    rows = np.flatnonzero(hi > lo)
-    names = seg["term"].to_pylist()
-    out = segment_table([names[r] for r in rows], docs[mask], tfs[mask],
-                        lo[rows], hi[rows], block_size)
-    return out.set_column(1, "df", seg["df"].take(rows))
 
 
 # max_restarts/max_task_retries: a crashed reader actor restarts and
@@ -106,75 +82,31 @@ def _stripe(seg: pa.Table, doc_part: int, n_doc_parts: int,
 # durable segments, so restart = reread).
 @ray.remote(num_cpus=1, max_restarts=2, max_task_retries=2)
 class ShardReader:
-    """Some term shards' postings in one doc stripe + ordinal-indexed
-    doc lengths.
+    """An ``IndexReader`` over some term shards (default: every shard)
+    in one doc stripe, served as an actor: ``self.r = IndexReader(
+    index_dir, shards, doc_part, n_doc_parts)``. Scored lists, bounds
+    and candidate rescores are the reader's; only two caches that serve
+    remote callers live here: the champion lists of single-term top-k
+    (``servecache.champion_topk``) and the raw-tf lists of cross-field
+    scoring (``tf_partials``). The live chain's sharded searcher runs
+    one over every shard of each generation (``doc_ids``, ``dfs``,
+    ``score_generation`` and ``live_count``)."""
 
-    ``shards`` are the term shards this actor owns (of ``num_shards``),
-    restricted to the docs with ``ord % n_doc_parts == doc_part``; their
-    segments load into one term-keyed dict, and the index stats and
-    docmap load once for all of them."""
-
-    def __init__(self, index_dir: str, shards: list[int], num_shards: int,
+    def __init__(self, index_dir: str, shards: list[int] | None = None,
                  doc_part: int = 0, n_doc_parts: int = 1):
-        st = index_stats(index_dir)
-        self.n_docs = int(st["n_docs"])
-        self.avgdl = float(st["avgdl"]) if st["avgdl"] else 1.0
-        # term → (index-wide df, this stripe's postings as zero-copy
-        # views over each segment's single Arrow data buffer)
-        self.terms: dict[str, tuple[int, bytes]] = {}
-        columns = []                     # (terms, dfs, postings) per shard
-        for shard in shards:
-            t = pq.read_table(os.path.join(index_dir, "segments",
-                                           f"shard-{shard:04d}.parquet"))
-            if n_doc_parts > 1:
-                t = _stripe(t, doc_part, n_doc_parts, int(st["block_size"]))
-            names, dfs = t["term"].to_pylist(), t["df"].to_numpy()
-            columns.append((names, dfs, t["postings"]))
-            for term, df, buf in zip(names, dfs.tolist(),
-                                     binary_views(t["postings"])):
-                if term != DOCLEN_TERM:
-                    self.terms[term] = (df, buf)
-        self.doc_ids, lens = load_docmap(index_dir)
-        self.dl_lens = lens.astype(np.float64)
-        # the same two scored-list layers ``IndexReader.scored`` has:
-        # every one-block list scored at load in one batched pass
-        # (``servecache.ShortLists``), then a hot-list LRU of longer
-        # lists: term → (doc ordinals, BM25 partials)
-        # (``servecache.scored_lru``, capped per owned shard). Both are
-        # deterministic per (term, corpus), so neither can change a
-        # score bit; a Zipf head term costs its df every query
-        # otherwise — decode + weigh 10^6 postings was the sharded
-        # plane's p99 at 1M docs. The serving-cache role of the
-        # reference's ES node (filesystem + query cache) — here
-        # explicit and bounded.
-        self._short = ShortLists(self, columns)
-        self._n_owned = len(shards)
-        self._hot: CappedLRU = scored_lru(self._n_owned)
+        self.r = IndexReader(index_dir, shards, doc_part, n_doc_parts)
+        n = len(self.r.segments)
         # champion lists (lazy impact ordering): per-term ranked
         # top-CHAMP_K prefix — a head term's single-term top-k ranks
         # its df-sized list ONCE, then serves O(k). See
         # servecache.champion_topk for the exactness argument.
         self._champ: CappedLRU = CappedLRU(
-            self._n_owned * env_cap("GRAFT_SHARD_CHAMP_ROWS", 1_000_000),
+            n * env_cap("GRAFT_SHARD_CHAMP_ROWS", 1_000_000),
             size_of=lambda v: max(1, len(v[0])))
-
-    def _scored(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        hit = self._short.get(term)
-        if hit is not None:
-            return hit
-        hit = self._hot.get(term)
-        if hit is not None:
-            return hit
-        e = self.terms.get(term)
-        if e is None:
-            return None
-        return self._hot.put(term, scored_list(self, PostingList(e[1]), e[0]))
+        self._hot_tf: CappedLRU = scored_lru(n)
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
-        """The one-block table's terms, postings and bytes, and the
-        scored-list LRU's counters (as ``IndexReader.cache_stats``)."""
-        return {"short_lists": self._short.stats(),
-                "scored_lists": self._hot.stats()}
+        return self.r.cache_stats()
 
     def topk_single(self, term: str, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Single-term top-k over this stripe, ranked ON the shard —
@@ -182,13 +114,14 @@ class ShardReader:
         p99 driver at 10^6+ docs was exactly this ship + driver-side
         combine). Identical floats and rank rule to the driver path:
         the combine of one term is the identity."""
-        scored = self._scored(term)
+        scored = self.r.scored(term)
         if scored is None:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         docs, scores = scored
         return champion_topk(
             self._champ, term, k,
-            lambda kk: bm25.rank_topk(self.doc_ids, scores, kk, ords=docs))
+            lambda kk: bm25.rank_topk(self.r.dl_doc_ids, scores, kk,
+                                      ords=docs))
 
     def topk_single_many(self, terms: list[str], k: int,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -203,62 +136,52 @@ class ShardReader:
         postings a cross-field scorer (combined_fields/BM25F) combines
         BEFORE any idf/saturation, since those apply to the combined
         statistics, not per field. LRU-cached like the scored lists."""
-        cache = getattr(self, "_hot_tf", None)
-        if cache is None:
-            cache = self._hot_tf = scored_lru(self._n_owned)
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for t in terms:
-            hit = cache.get(t)
+            hit = self._hot_tf.get(t)
             if hit is None:
-                e = self.terms.get(t)
-                if e is None:
+                if (pl := self.r.postings(t)) is None:
                     continue
-                docs, tfs = PostingList(e[1]).decode_all()
-                hit = cache.put(t, (docs, tfs.astype(np.float64)))
+                docs, tfs = pl.decode_all()
+                hit = self._hot_tf.put(t, (docs, tfs.astype(np.float64)))
             out[t] = hit
         return out
 
     def partial_scores(self, terms: list[str]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """term → (doc ordinals, per-doc partial scores) for this
-        actor's terms."""
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for t in terms:
-            scored = self._scored(t)
-            if scored is not None:
-                out[t] = scored
-        return out
+        actor's terms (``IndexReader.scored``)."""
+        return {t: s for t in terms if (s := self.r.scored(t)) is not None}
 
     def term_meta(self, terms: list[str]) -> dict[str, tuple[int, int]]:
         """term → (index-wide df, this stripe's max tf) for the driver's
         MaxScore upper bounds — block-max metadata only, no posting
         decode."""
-        out: dict[str, tuple[int, int]] = {}
-        for t in terms:
-            e = self.terms.get(t)
-            if e is not None:
-                pl = PostingList(e[1])
-                out[t] = (e[0], int(pl.max_tf.max()) if pl.n_blocks else 0)
-        return out
+        return {t: (self.r.df(t), int(pl.max_tf.max()) if pl.n_blocks else 0)
+                for t in terms if (pl := self.r.postings(t)) is not None}
 
     def candidate_scores(self, terms: list[str], cand: np.ndarray,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """term → (candidate ordinals hit, partial scores), decoding
-        only the posting blocks that contain candidates
-        (``PostingList.decode_for``) — the distributed tail-term rescore
-        of the driver-side MaxScore plan. ``cand`` sorted ascending."""
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for t in terms:
-            hot = self._short.get(t) or self._hot.get(t)
-            if hot is not None:                  # already decoded+scored:
-                docs, scores = scores_at(*hot, cand)  # intersect, no decode
-            elif (e := self.terms.get(t)) is not None:
-                docs, tfs = PostingList(e[1]).decode_for(cand)
-                scores = bm25_partials(self, e[0], docs, tfs)
-            else:
-                continue
-            if len(docs):
-                out[t] = (docs, scores)
-        return out
+        """term → (candidate ordinals hit, partial scores)
+        (``IndexReader.partials_at``) — the distributed tail-term
+        rescore of the driver-side MaxScore plan. ``cand`` sorted
+        ascending."""
+        return {t: hit for t in terms
+                if (hit := self.r.partials_at(t, cand)) is not None
+                and len(hit[0])}
+
+    def doc_ids(self) -> np.ndarray:
+        return self.r.dl_doc_ids
+
+    def dfs(self, terms: list[str]) -> list[int]:
+        return [self.r.df(t) for t in terms]
+
+    def score_generation(self, live: list[str], dfs: dict[str, int],
+                         n_docs: int, avgdl: float, sup: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        return score_generation(self.r, live, dfs, n_docs, avgdl, sup)
+
+    def live_count(self, sup: np.ndarray) -> int:
+        return int((~isin_sorted(sup, self.r.dl_doc_ids)).sum())
 
 
 def _merge_ranked(parts: list[tuple[np.ndarray, np.ndarray]], k: int,
@@ -322,7 +245,7 @@ class ShardedQueryEngine:
             cpus_per_reader = reader_cpus(n_doc_parts * self._pool, cpus)
         self.readers = [
             ShardReader.options(num_cpus=cpus_per_reader).remote(
-                index_dir, shards, self.num_shards, p, n_doc_parts)
+                index_dir, shards, p, n_doc_parts)
             for p in range(n_doc_parts) for shards in groups
         ]
 
@@ -603,6 +526,5 @@ class ShardedQueryEngine:
         return out
 
     def shutdown(self) -> None:
-        for r in self.readers:
-            ray.kill(r)
+        stop_actors(self.readers)
         self.readers = []

@@ -15,7 +15,7 @@ from snowplow_elasticsearch_loader_ray.config import IndexConfig
 from snowplow_elasticsearch_loader_ray.oracle import OracleIndex
 from snowplow_elasticsearch_loader_ray.pipelines import build as B
 from snowplow_elasticsearch_loader_ray.pipelines.query import (
-    IndexReader, QueryEngine, score_bmw, score_taat,
+    IndexReader, QueryEngine, score_taat,
 )
 from snowplow_elasticsearch_loader_ray.sources import synth
 
@@ -108,15 +108,6 @@ def test_maxscore_matches_taat_bitwise(built):
         d2, s2 = score_maxscore(reader, q, 10)
         assert d1.tolist() == d2.tolist(), q
         assert s1.tolist() == s2.tolist(), q
-
-
-def test_bmw_matches_taat(built):
-    reader = IndexReader(built[1])
-    for qid, q, k in synth.generate_queries():
-        d1, s1 = score_taat(reader, q, k)
-        d2, s2 = score_bmw(reader, q, k)
-        assert d1.tolist() == d2.tolist(), f"qid={qid} q={q!r}"
-        np.testing.assert_allclose(s1, s2, rtol=0, atol=0)
 
 
 def test_search_after_pages_partition_the_ranking(built):
@@ -512,7 +503,7 @@ def test_query_engine_unknown_strategy_refuses(ray_session, built):
 
     with pytest.raises(ValueError, match="unknown strategy"):
         QueryEngine(built[1], strategy="max_score")
-    d, s = QueryEngine(built[1], strategy="bmw").topk("the data", 5)
+    d, s = QueryEngine(built[1], strategy="maxscore").topk("the data", 5)
     d2, s2 = QueryEngine(built[1], strategy="taat").topk("the data", 5)
     import numpy as np
     assert np.array_equal(d, d2) and np.array_equal(s, s2)

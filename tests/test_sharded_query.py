@@ -190,7 +190,7 @@ def test_short_lists_equal_scored_list(ray_session, tmp_path):
         assert same(reader.scored(t), t), t
     assert reader.cache_stats()["scored_lists"]["entries"] == len(long)
 
-    actor = ShardReader.options(num_cpus=0.1).remote(idx, [1, 3], 4)
+    actor = ShardReader.options(num_cpus=0.1).remote(idx, [1, 3])
     try:
         own = [t for t in want if term_shard_one(t, 4) in (1, 3)]
         assert any(t in short for t in own) and any(t not in short
@@ -428,6 +428,55 @@ def test_reader_pool_groups_shards_per_cpu():
             for a, ts in routed:
                 assert all(term_shard_one(t, shards) in groups[a]
                            for t in ts)
+
+
+@pytest.mark.parametrize("n_doc_parts", [1, 3])
+def test_stripe_reader_is_the_whole_reader_masked(ray_session, idx16,
+                                                  n_doc_parts):
+    """``IndexReader`` over some term shards and one ordinal stripe:
+    every term's scored list is the whole reader's list masked to those
+    shards and that stripe, byte for byte; ``df`` is the index-wide df;
+    and ``bound`` is ``bm25.term_bound`` at the global df and the
+    stripe's max tf — ≥ every partial of the term, and at its largest
+    over the stripes the bound the sharded coordinator computes
+    (``ShardedQueryEngine._metas``) and the whole reader's."""
+    from snowplow_elasticsearch_loader_ray import bm25
+    from snowplow_elasticsearch_loader_ray.pipelines.query import IndexReader
+    from snowplow_elasticsearch_loader_ray.tokenizer import term_shard_one
+
+    whole = IndexReader(idx16)
+    shards = [1, 5, 9, 13]
+    own = sorted(t for t in whole.terms if term_shard_one(t, 16) in shards)
+    assert own
+    parts = [IndexReader(idx16, shards, p, n_doc_parts)
+             for p in range(n_doc_parts)]
+
+    def term_bound(df, max_tf):
+        return bm25.term_bound(whole.n_docs, df, max_tf, whole.dl_min,
+                               whole.avgdl)
+
+    max_tf: dict[str, int] = {}
+    for p, r in enumerate(parts):
+        assert set(r.terms) <= set(own)
+        for t in own:
+            docs, part = whole.scored(t)
+            m = docs % n_doc_parts == p
+            if not m.any():
+                assert t not in r.terms, t
+                continue
+            got = r.scored(t)
+            assert got[0].tobytes() == docs[m].tobytes(), t
+            assert got[1].tobytes() == part[m].tobytes(), t
+            assert r.df(t) == whole.df(t) == len(docs), t
+            mtf = int(r.postings(t).max_tf.max())
+            max_tf[t] = max(max_tf.get(t, 0), mtf)
+            assert r.bound(t) == term_bound(whole.df(t), mtf), t
+            assert r.bound(t) >= got[1].max(), t
+    assert sorted(max_tf) == own
+    for t in own:
+        want = term_bound(whole.df(t), max_tf[t])
+        assert max(r.bound(t) for r in parts if t in r.terms) == want, t
+        assert whole.bound(t) == want, t
 
 
 def test_reader_pool_sixteen_shards_bit_identical(ray_session, idx16):
